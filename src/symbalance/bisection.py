@@ -10,11 +10,11 @@ search reproduces exactly where those exist.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, product
 from typing import Optional
 
+from .census import brute_count_balanced_symmetric
 from .errors import BudgetError, InternalCheckError
 from .exactnum import binom
 
@@ -72,45 +72,39 @@ def count_trivial(n: int) -> int:
     return 2 if n % 2 == 0 else 1 << ((n + 1) // 2)
 
 
-def _partial_sums(weights: tuple[int, ...]) -> list[int]:
-    """Signed sums of all 2^len sign choices over the given weights."""
-    sums = [0]
-    for w in weights:
-        sums = [s + w for s in sums] + [s - w for s in sums]
-    return sums
-
-
 def find_all_solutions(n: int, enumerate_witnesses: bool = False,
                        witness_limit: Optional[int] = None) -> SolutionReport:
-    """Count every solution for row n by meet-in-the-middle (n <= 32).
+    """Count every solution for row n (n <= 32).
 
-    The row splits at ceil(n/2); each half contributes 2^(half) partial
-    sums, and the join accumulates multiplicities of negated sums.  With
-    enumerate_witnesses, nontrivial solutions are materialized in
-    lexicographic order (-1 before +1), optionally capped at witness_limit.
+    A solution signs the weight classes of n bits so that the +1 side holds
+    2^(n-1) inputs: a balanced symmetric Boolean function, so the count is
+    the GF(2) census.  With enumerate_witnesses, nontrivial solutions are
+    materialized in lexicographic order (-1 before +1), optionally capped
+    at witness_limit.
     """
     if n > SEARCH_MAX_N:
         raise BudgetError(f"solution search capped at n <= {SEARCH_MAX_N}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    row = tuple(binom(n, i) for i in range(n + 1))
-    cut = -(-n // 2)
-    lo_counts = Counter(_partial_sums(row[:cut]))
-    total = sum(lo_counts[-s] for s in _partial_sums(row[cut:]))
-    trivial = count_trivial(n) if n >= 1 else 0
+    total = trivial = 0
+    if n >= 1:
+        total = brute_count_balanced_symmetric(2, n)
+        trivial = count_trivial(n)
 
     witnesses = None
     if enumerate_witnesses:
-        stream = _nontrivial_in_lex_order(n, row, cut)
-        witnesses = tuple(islice(stream, witness_limit))
+        witnesses = tuple(islice(_nontrivial_in_lex_order(n), witness_limit))
 
     return SolutionReport(n=n, total=total, trivial=trivial,
                           nontrivial=total - trivial, witnesses=witnesses)
 
 
-def _nontrivial_in_lex_order(n: int, row: tuple[int, ...], cut: int):
+def _nontrivial_in_lex_order(n: int):
     """Yield nontrivial solutions lexicographically (-1 before +1): the low
-    prefix runs in lex order and matching high suffixes are grouped by sum."""
+    prefix of ceil(n/2) signs runs in lex order and matching high suffixes
+    are grouped by sum."""
+    row = tuple(binom(n, i) for i in range(n + 1))
+    cut = -(-n // 2)
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for hi in product((-1, 1), repeat=n + 1 - cut):
         s = sum(d * w for d, w in zip(hi, row[cut:]))

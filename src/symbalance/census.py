@@ -196,7 +196,8 @@ def brute_count_balanced_symmetric(p: int, n: int) -> int:
     """Exact count of balanced symmetric functions by exhaustive assignment
     of output values to classes, with branches pruned once a value's input
     count exceeds p^(n-1) and shared suffixes counted once (memoized on the
-    remaining classes and the bucket profile)."""
+    remaining classes and the sorted bucket fills: every bucket has the same
+    target, so relabeling buckets leaves the count unchanged)."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if n < 1:
@@ -212,7 +213,7 @@ def brute_count_balanced_symmetric(p: int, n: int) -> int:
     def count_from(idx: int, buckets: tuple[int, ...]) -> int:
         if idx == len(sizes):
             return 1
-        key = (idx, buckets)
+        key = (idx, tuple(sorted(buckets)))
         cached = memo.get(key)
         if cached is not None:
             return cached

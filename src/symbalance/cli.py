@@ -166,9 +166,11 @@ def _cmd_generate(args) -> CommandResult:
     if binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
         raise BudgetError(
             f"p={args.p}, n={args.n} has more than {GENERATE_MAX_CLASSES} classes")
+    # Values of 10 and up take two digits, so they need a separator.
+    sep = "," if args.p > 10 else ""
     rows = []
     for index, fn in enumerate(generate_balanced(args.p, args.n, limit=args.limit)):
-        rows.append({"index": index, "values": "".join(map(str, fn.values))})
+        rows.append({"index": index, "values": sep.join(map(str, fn.values))})
     lines = [f"{row['index']}: {row['values']}" for row in rows]
     return CommandResult(
         "generate", {"p": args.p, "n": args.n, "limit": args.limit},
@@ -176,7 +178,9 @@ def _cmd_generate(args) -> CommandResult:
 
 
 def _cmd_scan_c1(args) -> CommandResult:
-    cells = scan_conjecture1(args.n_max, workers=args.workers)
+    if args.workers < 1:
+        raise ValueError("workers must be positive")
+    cells = scan_conjecture1(args.n_max)
     bad = conjecture1_mismatches(cells)
     rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
              "balanced": c.balanced, "predicted": c.predicted} for c in cells]
@@ -191,7 +195,9 @@ def _cmd_scan_c1(args) -> CommandResult:
 
 
 def _cmd_scan_c2(args) -> CommandResult:
-    cells = scan_conjecture2(args.n_max, workers=args.workers)
+    if args.workers < 1:
+        raise ValueError("workers must be positive")
+    cells = scan_conjecture2(args.n_max)
     bad = conjecture2_violations(cells)
     rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
              "bound": str(c.bound), "below": c.below} for c in cells]
@@ -300,6 +306,8 @@ def _build_parser() -> _Parser:
     c1 = sub.add_parser("scan-c1", parents=[common],
                         help="compare exact balancedness with the conjectured set")
     c1.add_argument("--n-max", type=int, default=C1_MAX_N)
+    # --workers on both scans is accepted and ignored for one release:
+    # scans run serially.
     c1.add_argument("--workers", type=int, default=1)
 
     c2 = sub.add_parser("scan-c2", parents=[common],

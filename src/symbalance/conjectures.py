@@ -15,10 +15,8 @@ sine factor.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import mpmath
 
@@ -69,56 +67,34 @@ def predicted_balanced(d: int, n: int) -> bool:
     return d & (d - 1) == 0 and (n + 1) % (2 * d) == 0
 
 
-def _row_balance(n: int) -> tuple[ScanCell, ...]:
-    return tuple(
-        ScanCell(d, n, weight_elem(d, n), is_balanced_elem(d, n),
-                 predicted_balanced(d, n))
-        for d in range(2, n + 1))
-
-
-def _row_bound(d: int, n_max: int) -> tuple[BoundCell, ...]:
-    cells = []
-    for n in range(2 * (d - 1), n_max + 1):
-        weight = weight_elem(d, n)
-        bound = 1 << (n - 2)
-        cells.append(BoundCell(d, n, weight, bound, weight < bound))
-    return tuple(cells)
-
-
-def scan_conjecture1(n_max: int, workers: int = 1) -> list[ScanCell]:
+def scan_conjecture1(n_max: int) -> list[ScanCell]:
     """Every cell 2 <= d <= n <= n_max with its exact weight, its exact
     balancedness, and the conjectured verdict, ordered by (n, d)."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if n_max > C1_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C1_MAX_N}")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    ns = range(2, n_max + 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_balance, ns))
-    else:
-        rows = [_row_balance(n) for n in ns]
-    return [cell for row in rows for cell in row]
+    return [ScanCell(d, n, weight_elem(d, n), is_balanced_elem(d, n),
+                     predicted_balanced(d, n))
+            for n in range(2, n_max + 1) for d in range(2, n + 1)]
 
 
-def scan_conjecture2(n_max: int = C2_DEFAULT_N, workers: int = 1) -> list[BoundCell]:
+def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:
     """Every cell with wt(d) >= 6 and 2(d - 1) <= n <= n_max, with the exact
     weight and the strict quarter bound 2^(n-2), ordered by (d, n)."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if n_max > C2_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C2_MAX_N}")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    ds = [d for d in range(63, n_max // 2 + 2) if d.bit_count() >= 6]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_bound, ds, repeat(n_max)))
-    else:
-        rows = [_row_bound(d, n_max) for d in ds]
-    return [cell for row in rows for cell in row]
+    cells = []
+    for d in range(63, n_max // 2 + 2):
+        if d.bit_count() < 6:
+            continue
+        for n in range(2 * (d - 1), n_max + 1):
+            weight = weight_elem(d, n)
+            bound = 1 << (n - 2)
+            cells.append(BoundCell(d, n, weight, bound, weight < bound))
+    return cells
 
 
 def conjecture1_mismatches(cells: list[ScanCell]) -> list[ScanCell]:

@@ -11,14 +11,11 @@ they only cross-check integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath
-
-from .errors import InternalCheckError
 
 PRECISION_BITS = 96
 
@@ -107,54 +104,6 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         if out == 0:
             return 0
     return out
-
-
-def parity_period(d: int) -> int:
-    """Least period of j -> C(j, d) mod 2 for d >= 2: 2^(floor(log2 d) + 1).
-
-    Minimality is re-verified by checking that the half period fails.
-    Degree 1 is excluded; its sequence 0101... has period 2 and callers
-    treat it separately.
-    """
-    if d < 2:
-        raise ValueError("parity_period requires d >= 2")
-    period = 1 << d.bit_length()
-    half = period // 2
-    if all(binom_mod_p(j, d, 2) == binom_mod_p(j + half, d, 2) for j in range(half)):
-        raise InternalCheckError(f"period {period} for d={d} is not minimal")
-    return period
-
-
-@dataclass(frozen=True)
-class ParityWord:
-    """One least period of the bit sequence j -> C(j, d) mod 2."""
-
-    d: int
-    period: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.period != len(self.bits):
-            raise ValueError("period does not match bit count")
-        if self.period & (self.period - 1):
-            raise ValueError("period must be a power of 2")
-
-
-@lru_cache(maxsize=None)
-def parity_word(d: int) -> ParityWord:
-    """The cached least-period word for degree d >= 2."""
-    period = parity_period(d)
-    return ParityWord(d=d, period=period,
-                      bits=tuple(binom_mod_p(j, d, 2) for j in range(period)))
-
-
-def parity_sequence(d: int, length: int) -> tuple[int, ...]:
-    """First `length` bits of j -> C(j, d) mod 2, tiled from one period."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    word = parity_word(d)
-    reps = -(-length // word.period)
-    return (word.bits * reps)[:length]
 
 
 def _validate_lacunary(n: int, power: int, i: int) -> None:

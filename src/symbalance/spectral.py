@@ -26,25 +26,18 @@ def krawtchouk(k: int, y: int, n: int) -> int:
     return sum((-1) ** j * binom(y, j) * binom(n - y, k - j) for j in range(k + 1))
 
 
-@dataclass(frozen=True)
-class KrawtchoukTable:
-    """All values P_k(y, n) for one n; table[k][y]."""
-
-    n: int
-    table: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def krawtchouk_table(n: int) -> KrawtchoukTable:
-    return KrawtchoukTable(n, tuple(
-        tuple(krawtchouk(k, y, n) for y in range(n + 1)) for k in range(n + 1)))
+def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """All values P_k(y, n) for one n, as rows[k][y]."""
+    return tuple(
+        tuple(krawtchouk(k, y, n) for y in range(n + 1)) for k in range(n + 1))
 
 
 def walsh_symmetric(wf: WeightFunction, y: int) -> int:
     """Walsh value at any mask of weight y: sum_k (-1)^(v(k)) P_k(y, n)."""
     if not 0 <= y <= wf.n:
         raise ValueError("need 0 <= y <= n")
-    rows = krawtchouk_table(wf.n).table
+    rows = krawtchouk_table(wf.n)
     return sum((1 - 2 * wf.v[k]) * rows[k][y] for k in range(wf.n + 1))
 
 

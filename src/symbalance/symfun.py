@@ -163,26 +163,25 @@ def is_balanced_elem(d: int, n: int) -> bool:
     return by_weight
 
 
-def values_from_anf(anf: AnfVector) -> WeightFunction:
-    """v(i) = XOR of lam(j) over all j dominated by i."""
-    bits = []
-    for i in range(anf.n + 1):
+def _domination_transform(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """out(i) = XOR of bits(j) over all j dominated by i; over GF(2) this
+    transform is its own inverse."""
+    out = []
+    for i in range(len(bits)):
         acc = 0
         for j in range(i + 1):
             if j & i == j:
-                acc ^= anf.lam[j]
-        bits.append(acc)
-    return WeightFunction(anf.n, tuple(bits))
+                acc ^= bits[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def values_from_anf(anf: AnfVector) -> WeightFunction:
+    """v(i) = XOR of lam(j) over all j dominated by i."""
+    return WeightFunction(anf.n, _domination_transform(anf.lam))
 
 
 def anf_from_values(wf: WeightFunction) -> AnfVector:
-    """lam(i) = XOR of v(j) over all j dominated by i; the domination
-    transform over GF(2) is its own inverse."""
-    bits = []
-    for i in range(wf.n + 1):
-        acc = 0
-        for j in range(i + 1):
-            if j & i == j:
-                acc ^= wf.v[j]
-        bits.append(acc)
-    return AnfVector(wf.n, tuple(bits))
+    """lam(i) = XOR of v(j) over all j dominated by i (the inverse of
+    values_from_anf)."""
+    return AnfVector(wf.n, _domination_transform(wf.v))

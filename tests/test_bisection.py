@@ -15,8 +15,8 @@ from symbalance.bisection import (
 from symbalance.errors import BudgetError
 from symbalance.symfun import is_balanced_elem
 
-# nontrivial solution counts for every n <= 28 where any exist
-NONTRIVIAL = {8: 4, 13: 16, 14: 12, 20: 4, 24: 48, 26: 4}
+# nontrivial solution counts for every n <= 32 where any exist
+NONTRIVIAL = {8: 4, 13: 16, 14: 12, 20: 4, 24: 48, 26: 4, 29: 2048, 31: 640, 32: 4}
 
 
 def test_nontrivial_counts_frozen():
@@ -24,8 +24,8 @@ def test_nontrivial_counts_frozen():
         assert find_all_solutions(n).nontrivial == expected
 
 
-def test_no_other_nontrivial_below_28():
-    for n in range(1, 29):
+def test_no_other_nontrivial_up_to_32():
+    for n in range(1, 33):
         report = find_all_solutions(n)
         assert report.nontrivial == NONTRIVIAL.get(n, 0)
         assert report.total == report.trivial + report.nontrivial

@@ -7,7 +7,10 @@ the contract demands it.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -150,6 +153,16 @@ def test_generate_yields_distinct_rows(capsys):
     assert all(re.fullmatch(r"[01]{4}", v) for v in values)
 
 
+def test_generate_separates_two_digit_values(capsys):
+    code, out, _ = run(capsys, ["generate", "11", "1", "--limit", "2",
+                                "--format", "json"])
+    assert code == 0
+    rows = [row["values"].split(",") for row in json.loads(out)["results"]]
+    assert len(rows) == 2
+    for values in rows:
+        assert sorted(map(int, values)) == list(range(11))
+
+
 def test_generate_respects_limit(capsys):
     code, out, _ = run(capsys, ["generate", "2", "5", "--limit", "3",
                                 "--format", "json"])
@@ -186,7 +199,7 @@ def test_scan_c1_worker_output_identical(capsys):
 
 def test_scan_c1_counterexample_exit(monkeypatch, capsys):
     fake = [ScanCell(d=3, n=5, weight=16, balanced=True, predicted=False)]
-    monkeypatch.setattr(cli, "scan_conjecture1", lambda n_max, workers=1: fake)
+    monkeypatch.setattr(cli, "scan_conjecture1", lambda n_max: fake)
     code, out, _ = run(capsys, ["scan-c1", "--n-max", "5"])
     assert code == 2
     assert "mismatch at d=3, n=5" in out
@@ -210,7 +223,7 @@ def test_scan_c2_csv_header(capsys):
 
 def test_scan_c2_counterexample_exit(monkeypatch, capsys):
     fake = [BoundCell(d=63, n=124, weight=1 << 122, bound=1 << 122, below=False)]
-    monkeypatch.setattr(cli, "scan_conjecture2", lambda n_max, workers=1: fake)
+    monkeypatch.setattr(cli, "scan_conjecture2", lambda n_max: fake)
     code, out, _ = run(capsys, ["scan-c2", "--n-max", "124"])
     assert code == 2
     assert "violation at d=63, n=124" in out
@@ -263,6 +276,7 @@ def test_domain_error_maps_to_usage(capsys):
     code, _, err = run(capsys, ["weight", "0", "5"])
     assert code == 64
     assert "error" in err
+    assert run(capsys, ["scan-c1", "--workers", "0"])[0] == 64
 
 
 def test_orbit_split_maps_to_usage(capsys):
@@ -290,6 +304,18 @@ def test_route_disagreement_maps_to_internal(monkeypatch, capsys):
     code, _, err = run(capsys, ["lacunary", "4", "1"])
     assert code == 70
     assert "internal check failed" in err
+
+
+def test_import_starts_no_process_machinery():
+    # Scans run serially; importing the CLI must not pay for process pools.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import symbalance.cli, sys; "
+             "sys.exit(sorted({'concurrent.futures', 'multiprocessing'} "
+             "& set(sys.modules)) or 0)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_help_exits_cleanly(capsys):

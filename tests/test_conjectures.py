@@ -47,17 +47,11 @@ def test_scan_conjecture1_structure():
     assert balanced == [(2, 3), (2, 7), (4, 7)]
 
 
-def test_scan_conjecture1_workers_agree():
-    assert scan_conjecture1(14, workers=2) == scan_conjecture1(14)
-
-
 def test_scan_conjecture1_validation():
     with pytest.raises(BudgetError):
         scan_conjecture1(65)
     with pytest.raises(ValueError):
         scan_conjecture1(1)
-    with pytest.raises(ValueError):
-        scan_conjecture1(10, workers=0)
 
 
 def test_scan_conjecture2_cells():
@@ -71,7 +65,7 @@ def test_scan_conjecture2_cells():
 
 
 def test_scan_conjecture2_includes_next_degree():
-    cells = scan_conjecture2(188, workers=2)
+    cells = scan_conjecture2(188)
     assert {c.d for c in cells} == {63, 95}
     assert BoundCell(95, 188, weight_elem(95, 188), 1 << 186, True) in cells
     assert conjecture2_violations(cells) == []

@@ -16,32 +16,11 @@ from symbalance.exactnum import (
     lacunary_exact,
     lacunary_trig,
     multinomial,
-    parity_period,
-    parity_sequence,
-    parity_word,
     pascal_row,
     round_real,
     sign_sinpi,
     sinpi_frac,
 )
-
-# One least period of j -> C(j, d) mod 2 per degree, written out by hand
-# from the binary domination rule.
-PARITY_WORDS = {
-    2: "0011",
-    3: "0001",
-    4: "00001111",
-    5: "00000101",
-    6: "00000011",
-    7: "00000001",
-    8: "0000000011111111",
-    9: "0000000001010101",
-    10: "0000000000110011",
-    11: "0000000000010001",
-    12: "0000000000001111",
-    13: "0000000000000101",
-    14: "0000000000000011",
-}
 
 
 def test_pascal_row_small():
@@ -87,34 +66,6 @@ def test_is_prime():
        st.sampled_from([2, 3, 5, 7, 11]))
 def test_binom_mod_p_matches_comb(n, k, p):
     assert binom_mod_p(n, k, p) == math.comb(n, k) % p
-
-
-def test_parity_words_frozen():
-    for d, word in PARITY_WORDS.items():
-        pw = parity_word(d)
-        assert pw.period == len(word)
-        assert "".join(map(str, pw.bits)) == word
-
-
-def test_parity_period_value_and_minimality():
-    for d in range(2, 65):
-        assert parity_period(d) == 1 << d.bit_length()
-    with pytest.raises(ValueError):
-        parity_period(1)
-
-
-@pytest.mark.parametrize("d", [2, 3, 7, 8, 15, 16, 31, 33, 64])
-def test_parity_sequence_matches_definition(d):
-    seq = parity_sequence(d, 129)
-    for j in range(129):
-        assert seq[j] == math.comb(j, d) % 2
-
-
-def test_parity_sequence_length():
-    assert parity_sequence(4, 0) == ()
-    assert len(parity_sequence(5, 19)) == 19
-    with pytest.raises(ValueError):
-        parity_sequence(5, -1)
 
 
 @given(st.integers(min_value=0, max_value=60),

@@ -48,7 +48,7 @@ def test_krawtchouk_validation():
 @given(st.integers(min_value=2, max_value=40), st.data())
 def test_even_krawtchouk_sum_vanishes_inside(n, data):
     y = data.draw(st.integers(min_value=1, max_value=n - 1))
-    rows = krawtchouk_table(n).table
+    rows = krawtchouk_table(n)
     assert sum(rows[k][y] for k in range(0, n + 1, 2)) == 0
 
 
