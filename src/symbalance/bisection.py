@@ -16,7 +16,7 @@ from typing import Optional
 
 from .census import brute_count_balanced_symmetric
 from .errors import BudgetError, InternalCheckError
-from .exactnum import binom
+from .exactnum import binom, pascal_row
 
 SEARCH_MAX_N = 32
 
@@ -102,19 +102,21 @@ def find_all_solutions(n: int, enumerate_witnesses: bool = False,
 def _nontrivial_in_lex_order(n: int):
     """Yield nontrivial solutions lexicographically (-1 before +1): the low
     prefix of ceil(n/2) signs runs in lex order and matching high suffixes
-    are grouped by sum."""
-    row = tuple(binom(n, i) for i in range(n + 1))
+    are grouped by sum; each prefix's one trivial suffix is skipped."""
+    row = pascal_row(n)
     cut = -(-n // 2)
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for hi in product((-1, 1), repeat=n + 1 - cut):
         s = sum(d * w for d, w in zip(hi, row[cut:]))
         by_sum.setdefault(s, []).append(hi)
+    alt = _alternating(n)
+    ends = {tuple(s * d for d in alt[:cut]): tuple(s * d for d in alt[cut:]) for s in (-1, 1)}
     for lo in product((-1, 1), repeat=cut):
         s = sum(d * w for d, w in zip(lo, row[:cut]))
+        trivial = tuple(-d for d in reversed(lo)) if n % 2 else ends.get(lo)
         for hi in by_sum.get(-s, ()):
-            sv = SignVector(n, lo + hi)
-            if not is_trivial(sv):
-                yield sv
+            if hi != trivial:
+                yield SignVector(n, lo + hi)
 
 
 def bisection_from_solution(sv: SignVector) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -34,12 +34,13 @@ def count_symmetric(p: int, n: int) -> int:
 
 def count_balanced_all(p: int, n: int) -> int:
     """Balanced functions GF(p)^n -> GF(p), symmetric or not:
-    (p^n)! / ((p^(n-1))!)^p."""
+    (p^n)! / ((p^(n-1))!)^p = prod_{k=1}^{p} C(k s, s) with s = p^(n-1)."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if n < 1:
         raise ValueError("balance needs n >= 1")
-    return exact_div(math.factorial(p ** n), math.factorial(p ** (n - 1)) ** p)
+    share = p ** (n - 1)
+    return math.prod(math.comb(k * share, share) for k in range(1, p + 1))
 
 
 @dataclass(frozen=True)

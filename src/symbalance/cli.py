@@ -35,7 +35,7 @@ from .conjectures import (
     scan_conjecture2,
 )
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
-from .exactnum import binom, lacunary_exact, lacunary_trig, round_real
+from .exactnum import binom, lacunary_exact, lacunary_sums, lacunary_trig, round_real
 from .spectral import is_sac_elem, walsh_spectrum
 from .symfun import elem_values, is_balanced_elem, weight_elem
 
@@ -217,10 +217,10 @@ def _cmd_lacunary(args) -> CommandResult:
     if args.power > LACUNARY_MAX_POWER:
         raise BudgetError(f"power={args.power} exceeds the cap {LACUNARY_MAX_POWER}")
     modulus = 1 << args.power
-    residues = range(modulus) if args.i is None else [args.i]
+    exact_sums = (enumerate(lacunary_sums(args.n, args.power)) if args.i is None
+                  else [(args.i, lacunary_exact(args.n, args.power, args.i))])
     rows = []
-    for i in residues:
-        exact = lacunary_exact(args.n, args.power, i)
+    for i, exact in exact_sums:
         trig = round_real(lacunary_trig(args.n, args.power, i))
         if exact != trig:
             raise InternalCheckError(

@@ -25,10 +25,11 @@ from .exactnum import (
     PRECISION_BITS,
     compensated_sum,
     cospi_frac,
+    pascal_row,
     sign_sinpi,
     sinpi_frac,
 )
-from .symfun import is_balanced_elem, weight_elem
+from .symfun import is_balanced_elem, weight_elem, weight_in_row
 
 C1_MAX_N = 64
 C2_DEFAULT_N = 160
@@ -86,15 +87,14 @@ def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:
         raise ValueError("n_max must be at least 2")
     if n_max > C2_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C2_MAX_N}")
-    cells = []
-    for d in range(63, n_max // 2 + 2):
-        if d.bit_count() < 6:
-            continue
-        for n in range(2 * (d - 1), n_max + 1):
-            weight = weight_elem(d, n)
-            bound = 1 << (n - 2)
-            cells.append(BoundCell(d, n, weight, bound, weight < bound))
-    return cells
+    degrees = [d for d in range(63, n_max // 2 + 2) if d.bit_count() >= 6]
+    weights = {}
+    # Row by row, so each row is built once; 63 is the first degree.
+    for n in range(2 * (63 - 1), n_max + 1):
+        row = pascal_row(n)
+        weights.update(((d, n), weight_in_row(d, row)) for d in degrees if n >= 2 * (d - 1))
+    return [BoundCell(d, n, w, 1 << (n - 2), w < 1 << (n - 2))
+            for (d, n), w in sorted(weights.items())]
 
 
 def conjecture1_mismatches(cells: list[ScanCell]) -> list[ScanCell]:

@@ -12,23 +12,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath
 
 PRECISION_BITS = 96
 
-# Rows above this size are not worth caching; fall back to math.comb.
-_ROW_CACHE_LIMIT = 4096
 
-
-@lru_cache(maxsize=None)
 def pascal_row(n: int) -> tuple[int, ...]:
-    """Row n of Pascal's triangle, by incremental multiplication.
-
-    Cached because scans reuse whole rows.
-    """
+    """Row n of Pascal's triangle, by incremental multiplication.  Not
+    cached: a caller builds each row once and passes it on."""
     if n < 0:
         raise ValueError("row index must be non-negative")
     row = [1]
@@ -45,9 +38,7 @@ def binom(n: int, k: int) -> int:
         raise ValueError("n must be non-negative")
     if k < 0 or k > n:
         return 0
-    if n > _ROW_CACHE_LIMIT:
-        return math.comb(n, k)
-    return pascal_row(n)[k]
+    return math.comb(n, k)
 
 
 def exact_div(a: int, b: int) -> int:
@@ -118,7 +109,14 @@ def _validate_lacunary(n: int, power: int, i: int) -> None:
 def lacunary_exact(n: int, power: int, i: int) -> int:
     """Sum of C(n, j) over 0 <= j <= n with j = i (mod 2^power)."""
     _validate_lacunary(n, power, i)
-    return sum(binom(n, j) for j in range(i, n + 1, 1 << power))
+    return sum(pascal_row(n)[i::1 << power])
+
+
+def lacunary_sums(n: int, power: int) -> tuple[int, ...]:
+    """lacunary_exact(n, power, i) for every residue i, from one row."""
+    _validate_lacunary(n, power, 0)
+    row = pascal_row(n)
+    return tuple(sum(row[i::1 << power]) for i in range(1 << power))
 
 
 def cospi_frac(q: Fraction) -> mpmath.mpf:

@@ -9,7 +9,6 @@ integer arithmetic; the brute-force operations are budgeted oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetError
 from .exactnum import binom
@@ -26,19 +25,11 @@ def krawtchouk(k: int, y: int, n: int) -> int:
     return sum((-1) ** j * binom(y, j) * binom(n - y, k - j) for j in range(k + 1))
 
 
-@lru_cache(maxsize=None)
-def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """All values P_k(y, n) for one n, as rows[k][y]."""
-    return tuple(
-        tuple(krawtchouk(k, y, n) for y in range(n + 1)) for k in range(n + 1))
-
-
 def walsh_symmetric(wf: WeightFunction, y: int) -> int:
     """Walsh value at any mask of weight y: sum_k (-1)^(v(k)) P_k(y, n)."""
     if not 0 <= y <= wf.n:
         raise ValueError("need 0 <= y <= n")
-    rows = krawtchouk_table(wf.n)
-    return sum((1 - 2 * wf.v[k]) * rows[k][y] for k in range(wf.n + 1))
+    return sum((1 - 2 * wf.v[k]) * krawtchouk(k, y, wf.n) for k in range(wf.n + 1))
 
 
 @dataclass(frozen=True)

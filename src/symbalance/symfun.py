@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckError
-from .exactnum import binom, binom_mod_p, is_prime, multinomial
+from .exactnum import binom, binom_mod_p, is_prime, multinomial, pascal_row
 
 
 @dataclass(frozen=True)
@@ -142,20 +142,27 @@ def elem_values(d: int, n: int) -> WeightFunction:
     return WeightFunction(n, tuple(binom_mod_p(j, d, 2) for j in range(n + 1)))
 
 
+def weight_in_row(d: int, row: tuple[int, ...]) -> int:
+    """Sum of row[i] over the i that dominate d: wt(X(d, n)) for row = pascal_row(n)."""
+    return sum(row[i] for i in range(d, len(row)) if dominated(d, i))
+
+
 def weight_elem(d: int, n: int) -> int:
     """Hamming weight of the degree-d elementary symmetric form on n bits:
     the sum of C(n, i) over i whose binary digits dominate those of d."""
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    return sum(binom(n, i) for i in range(d, n + 1) if dominated(d, i))
+    return weight_in_row(d, pascal_row(n))
 
 
 def is_balanced_elem(d: int, n: int) -> bool:
     """Balance of the elementary form, decided by two routes that must agree:
     weight = 2^(n-1), and the signed sum over weights
     sum_j C(n, j) (-1)^(C(j, d)) = 0."""
-    w = weight_elem(d, n)
-    signed = sum(binom(n, j) * (1 - 2 * binom_mod_p(j, d, 2)) for j in range(n + 1))
+    v = elem_values(d, n).v
+    row = pascal_row(n)
+    w = weight_in_row(d, row)
+    signed = sum(c * (1 - 2 * b) for c, b in zip(row, v))
     by_weight = w == 1 << (n - 1)
     by_sign = signed == 0
     if by_weight != by_sign or signed != (1 << n) - 2 * w:

@@ -27,6 +27,12 @@ def elem_weight_comb(d, n):
     return sum(math.comb(bin(x).count("1"), d) % 2 for x in range(1 << n))
 
 
+def elem_weight_dominating(d, n):
+    """Weight of X(d, n) as the sum of C(n, i) over the i whose binary
+    digits dominate those of d, each C(n, i) from math.comb."""
+    return sum(math.comb(n, i) for i in range(d, n + 1) if i & d == d)
+
+
 def walsh_direct(table, w):
     """Walsh value at mask w straight from the definition."""
     total = 0

@@ -100,15 +100,17 @@ def test_witness_properties():
 
 
 def test_witnesses_match_literal_enumeration():
-    row = [math.comb(8, i) for i in range(9)]
-    expected = []
-    for signs in product((-1, 1), repeat=9):
-        if sum(s * c for s, c in zip(signs, row)) == 0:
-            sv = SignVector(8, signs)
-            if not is_trivial(sv):
-                expected.append(signs)
-    report = find_all_solutions(8, enumerate_witnesses=True)
-    assert [sv.delta for sv in report.witnesses] == expected
+    # odd n has 2^((n+1)/2) trivial solutions to skip, even n two
+    for n in range(1, 15):
+        row = [math.comb(n, i) for i in range(n + 1)]
+        expected = []
+        for signs in product((-1, 1), repeat=n + 1):
+            if sum(s * c for s, c in zip(signs, row)) == 0:
+                sv = SignVector(n, signs)
+                if not is_trivial(sv):
+                    expected.append(signs)
+        report = find_all_solutions(n, enumerate_witnesses=True)
+        assert [sv.delta for sv in report.witnesses] == expected
 
 
 def test_witness_limit():

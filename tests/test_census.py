@@ -50,6 +50,14 @@ def test_count_balanced_all_formula():
     assert count_balanced_all(3, 1) == 6
     assert count_balanced_all(2, 3) == binom(8, 4)
     assert count_balanced_all(2, 4) == binom(16, 8)
+    # the factorial quotient (p^n)! / ((p^(n-1))!)^p, for every p^n <= 2^12
+    primes = [p for p in range(2, 1 << 12) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for p in primes:
+        for n in range(1, 13):
+            if p ** n > 1 << 12:
+                break
+            quotient = exact_div(math.factorial(p ** n), math.factorial(p ** (n - 1)) ** p)
+            assert count_balanced_all(p, n) == quotient
     with pytest.raises(ValueError):
         count_balanced_all(2, 0)
 

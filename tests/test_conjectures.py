@@ -55,8 +55,10 @@ def test_scan_conjecture1_validation():
 
 
 def test_scan_conjecture2_cells():
-    cells = scan_conjecture2(130)
-    assert [(c.d, c.n) for c in cells] == [(63, n) for n in range(124, 131)]
+    cells = scan_conjecture2(260)
+    degrees = (63, 95, 111, 119, 123, 125, 126, 127)
+    assert [(c.d, c.n) for c in cells] == [
+        (d, n) for d in degrees for n in range(2 * (d - 1), 261)]
     for c in cells:
         assert c.weight == weight_elem(c.d, c.n)
         assert c.bound == 1 << (c.n - 2)

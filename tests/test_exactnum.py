@@ -14,6 +14,7 @@ from symbalance.exactnum import (
     exact_div,
     is_prime,
     lacunary_exact,
+    lacunary_sums,
     lacunary_trig,
     multinomial,
     pascal_row,
@@ -81,6 +82,8 @@ def test_lacunary_partitions_the_row(n, power):
 def test_lacunary_exact_matches_oracle(n, power, i):
     i %= 1 << power
     assert lacunary_exact(n, power, i) == oracles.lacunary_sum_direct(n, power, i)
+    assert lacunary_sums(n, power) == tuple(
+        oracles.lacunary_sum_direct(n, power, r) for r in range(1 << power))
 
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4, 5])

@@ -107,6 +107,15 @@ def test_weight_elem_spot_large():
     assert weight_elem(11, 20) == oracles.elem_weight_comb(11, 20)
 
 
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 4600])
+def test_weight_and_balance_on_rows_near_4096(n):
+    # degrees with at least four binary ones keep the oracle short
+    for d in (15, 170, 1365):
+        weight = oracles.elem_weight_dominating(d, n)
+        assert weight_elem(d, n) == weight
+        assert is_balanced_elem(d, n) == (weight == 1 << (n - 1))
+
+
 def test_balanced_elem_dual_routes_agree():
     for n in range(1, 31):
         for d in range(1, n + 1):
@@ -121,6 +130,9 @@ def test_balanced_elem_known_cells():
     assert is_balanced_elem(4, 7)
     assert not is_balanced_elem(2, 4)
     assert not is_balanced_elem(3, 7)
+    # X(2^t, 2^(t+1) l - 1) past n = 4096
+    assert is_balanced_elem(2, 4099)
+    assert is_balanced_elem(4, 4095)
 
 
 def test_odd_degree_above_one_never_balanced():
