@@ -349,6 +349,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else EXIT_USAGE
+    # Exact answers run to 20k digits, past Python's int/str digit limit
+    # (3.10.7 and later), so it is lifted while one is computed and printed.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _answer(args)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _answer(args)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _answer(args) -> int:
     started = time.perf_counter()
     try:
         result = _HANDLERS[args.command](args)

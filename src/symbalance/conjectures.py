@@ -29,7 +29,7 @@ from .exactnum import (
     sign_sinpi,
     sinpi_frac,
 )
-from .symfun import is_balanced_elem, weight_elem, weight_in_row
+from .symfun import balance_in_row, weight_elem, weight_in_row
 
 C1_MAX_N = 64
 C2_DEFAULT_N = 160
@@ -75,9 +75,9 @@ def scan_conjecture1(n_max: int) -> list[ScanCell]:
         raise ValueError("n_max must be at least 2")
     if n_max > C1_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C1_MAX_N}")
-    return [ScanCell(d, n, weight_elem(d, n), is_balanced_elem(d, n),
-                     predicted_balanced(d, n))
-            for n in range(2, n_max + 1) for d in range(2, n + 1)]
+    rows = ((n, pascal_row(n)) for n in range(2, n_max + 1))
+    return [ScanCell(d, n, *balance_in_row(d, row), predicted_balanced(d, n))
+            for n, row in rows for d in range(2, n + 1)]
 
 
 def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:

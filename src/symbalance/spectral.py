@@ -3,19 +3,16 @@
 Grouping the Walsh sum by input weight turns the 2^n-term transform into an
 (n+1)-term sum against Krawtchouk values, so a symmetric function's spectrum
 is stored per weight class y = wt(w).  Everything in this module is exact
-integer arithmetic; the brute-force operations are budgeted oracles.
+integer arithmetic on the n + 1 weight classes; the all-mask brute-force
+evaluators it is tested against live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError
 from .exactnum import binom
 from .symfun import WeightFunction, elem_values, is_balanced_elem
-
-BRUTEFORCE_MAX_N = 20
-SAC_MAX_N = 16
 
 
 def krawtchouk(k: int, y: int, n: int) -> int:
@@ -44,51 +41,6 @@ def walsh_spectrum(wf: WeightFunction) -> WalshSpectrum:
     return WalshSpectrum(wf.n, tuple(walsh_symmetric(wf, y) for y in range(wf.n + 1)))
 
 
-def _mask_of(w, n: int) -> int:
-    """Accept a mask int or a bit sequence (coordinate i = bit i)."""
-    if isinstance(w, int):
-        mask = w
-    else:
-        bits = tuple(w)
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
-            raise ValueError("w must have n bits")
-        mask = sum(b << i for i, b in enumerate(bits))
-    if not 0 <= mask < 1 << n:
-        raise ValueError("mask out of range")
-    return mask
-
-
-def walsh_bruteforce(wf: WeightFunction, w) -> int:
-    """Definitional Walsh sum over all 2^n inputs at one mask (n <= 20)."""
-    n = wf.n
-    if n > BRUTEFORCE_MAX_N:
-        raise BudgetError(f"brute-force Walsh capped at n <= {BRUTEFORCE_MAX_N}")
-    mask = _mask_of(w, n)
-    total = 0
-    for x in range(1 << n):
-        sign = wf.v[x.bit_count()] ^ ((x & mask).bit_count() & 1)
-        total += 1 - 2 * sign
-    return total
-
-
-def walsh_all_bruteforce(wf: WeightFunction) -> tuple[int, ...]:
-    """Walsh values at every mask, by the in-place butterfly on the sign
-    truth table (n <= 20).  Exact integers; assumes nothing about symmetry,
-    so it serves as the all-mask oracle for walsh_symmetric."""
-    n = wf.n
-    if n > BRUTEFORCE_MAX_N:
-        raise BudgetError(f"brute-force Walsh capped at n <= {BRUTEFORCE_MAX_N}")
-    t = [1 - 2 * wf.v[x.bit_count()] for x in range(1 << n)]
-    h = 1
-    while h < len(t):
-        for start in range(0, len(t), h * 2):
-            for a in range(start, start + h):
-                x, y = t[a], t[a + h]
-                t[a], t[a + h] = x + y, x - y
-        h *= 2
-    return tuple(t)
-
-
 def is_sac_elem(d: int, n: int) -> bool:
     """Avalanche criterion for the degree-d elementary form, decided by the
     reduction: the form on n bits satisfies it iff the degree-(d-1) form on
@@ -99,30 +51,6 @@ def is_sac_elem(d: int, n: int) -> bool:
     if d > n:
         raise ValueError("need d <= n")
     return is_balanced_elem(d - 1, n - 1)
-
-
-def is_sac_bruteforce(wf: WeightFunction) -> bool:
-    """Definitional avalanche test (n <= 16): for every unit vector a, the
-    derivative f(x) xor f(x xor a) must be 1 on exactly half of all inputs.
-
-    The truth table is packed into one big int; flipping input bit b is a
-    masked shift by 2^b, and the derivative's weight is a popcount.
-    """
-    n = wf.n
-    if n > SAC_MAX_N:
-        raise BudgetError(f"brute-force avalanche test capped at n <= {SAC_MAX_N}")
-    size = 1 << n
-    table = 0
-    for x in range(size):
-        if wf.v[x.bit_count()]:
-            table |= 1 << x
-    for b in range(n):
-        s = 1 << b
-        low = ((1 << size) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)
-        flipped = ((table & low) << s) | ((table >> s) & low)
-        if (table ^ flipped).bit_count() != size // 2:
-            return False
-    return True
 
 
 def check_antisymmetry(d: int, n: int) -> bool:
@@ -137,19 +65,11 @@ def check_antisymmetry(d: int, n: int) -> bool:
 
 
 def half_square_sums(wf: WeightFunction) -> tuple[int, int]:
-    """Sums of W(w)^2 over the half-spaces w_n = 0 and w_n = 1 (n <= 16)."""
-    n = wf.n
-    if n > SAC_MAX_N:
-        raise BudgetError(f"half-sum evaluation capped at n <= {SAC_MAX_N}")
-    spec = walsh_spectrum(wf).by_weight
-    squares = [v * v for v in spec]
-    lo = hi = 0
-    last = 1 << (n - 1)
-    for w in range(1 << n):
-        if w & last:
-            hi += squares[w.bit_count()]
-        else:
-            lo += squares[w.bit_count()]
+    """Sums of W(w)^2 over the half-spaces w_n = 0 and w_n = 1.  Of the
+    masks of weight y, C(n-1, y) have w_n = 0 and C(n-1, y-1) have w_n = 1."""
+    squares = [v * v for v in walsh_spectrum(wf).by_weight]
+    lo = sum(binom(wf.n - 1, y) * sq for y, sq in enumerate(squares))
+    hi = sum(binom(wf.n - 1, y - 1) * sq for y, sq in enumerate(squares))
     return lo, hi
 
 

@@ -11,7 +11,6 @@ monomials are all-ones there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InternalCheckError
 from .exactnum import binom, binom_mod_p, is_prime, multinomial, pascal_row
@@ -85,7 +84,6 @@ class AnfVector:
             raise ValueError("lam entries must be bits")
 
 
-@lru_cache(maxsize=None)
 def _count_vectors(p: int, n: int) -> tuple[tuple[int, ...], ...]:
     def rec(parts: int, total: int):
         if parts == 1:
@@ -155,19 +153,26 @@ def weight_elem(d: int, n: int) -> int:
     return weight_in_row(d, pascal_row(n))
 
 
-def is_balanced_elem(d: int, n: int) -> bool:
-    """Balance of the elementary form, decided by two routes that must agree:
-    weight = 2^(n-1), and the signed sum over weights
-    sum_j C(n, j) (-1)^(C(j, d)) = 0."""
+def balance_in_row(d: int, row: tuple[int, ...]) -> tuple[int, bool]:
+    """Weight and balance of X(d, n) for row = pascal_row(n), the balance
+    decided by two routes that must agree: weight = 2^(n-1), and the signed
+    sum over weights sum_j C(n, j) (-1)^(C(j, d)) = 0."""
+    n = len(row) - 1
     v = elem_values(d, n).v
-    row = pascal_row(n)
     w = weight_in_row(d, row)
     signed = sum(c * (1 - 2 * b) for c, b in zip(row, v))
     by_weight = w == 1 << (n - 1)
     by_sign = signed == 0
     if by_weight != by_sign or signed != (1 << n) - 2 * w:
         raise InternalCheckError(f"balance routes disagree at d={d}, n={n}")
-    return by_weight
+    return w, by_weight
+
+
+def is_balanced_elem(d: int, n: int) -> bool:
+    """Balance of the elementary form (see balance_in_row)."""
+    if not 1 <= d <= n:
+        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    return balance_in_row(d, pascal_row(n))[1]
 
 
 def _domination_transform(bits: tuple[int, ...]) -> tuple[int, ...]:

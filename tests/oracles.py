@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
+import numpy as np
+
 
 def elem_poly_value(x_bits, d):
     """X(d, n) at one point, summed monomial by monomial over GF(2)."""
@@ -41,13 +43,24 @@ def walsh_direct(table, w):
     return total
 
 
+def walsh_all(table):
+    """Walsh values at every mask at once, by the butterfly on the sign
+    table (-1)^f(x): stage b combines the entries whose indices differ in
+    bit b only.  Assumes nothing about symmetry."""
+    signs = 1 - 2 * np.asarray(table, dtype=np.int64)
+    for b in range(signs.size.bit_length() - 1):
+        pairs = signs.reshape(-1, 2, 1 << b)
+        signs = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+    return signs.ravel().tolist()
+
+
 def sac_direct(table, n):
     """Definitional strict avalanche criterion: each single-bit flip changes
     the output on exactly half the inputs."""
-    target = 1 << (n - 1)
-    return all(
-        sum(1 for x in range(1 << n) if table[x] != table[x ^ (1 << b)]) == target
-        for b in range(n))
+    values = np.asarray(table)
+    inputs = np.arange(1 << n)
+    return all(int(np.count_nonzero(values != values[inputs ^ (1 << b)])) == 1 << (n - 1)
+               for b in range(n))
 
 
 def krawtchouk_poly(k, y, n):
@@ -70,8 +83,6 @@ def bisection_count_literal(n):
 def bisection_count_dp(n):
     """Same count via a subset-sum table: solutions pick the subset of the
     binomial row carrying the plus sign, which must sum to 2^(n-1)."""
-    import numpy as np
-
     table = np.zeros((1 << n) + 1, dtype=np.int64)
     table[0] = 1
     for i in range(n + 1):

@@ -7,6 +7,7 @@ the contract demands it.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -134,6 +135,22 @@ def test_count_csv(capsys):
     assert code == 0
     assert out == ("p,n,symmetric,balanced_all,balanced_symmetric\n"
                    "2,3,16,70,4\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit before Python 3.10.7")
+def test_count_prints_answers_past_the_int_digit_limit(capsys):
+    # C(2^14, 2^13) has 4930 digits, more than the default limit of 4300
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, ["count", "2", "14", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == before
+    balanced_all = json.loads(out)["results"][0]["balanced_all"]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert balanced_all == str(math.comb(2 ** 14, 2 ** 13))
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_lower_bound_json(capsys):

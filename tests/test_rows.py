@@ -1,5 +1,5 @@
-"""Binomial rows are values: each call builds the rows it reads once, and
-no call keeps them after it returns."""
+"""Binomial rows and class lists are values: each call builds the rows it
+reads once, and no call keeps rows or class lists after it returns."""
 
 import importlib
 import pkgutil
@@ -9,12 +9,13 @@ from collections import Counter
 import symbalance
 import symbalance.conjectures as conjectures
 import symbalance.exactnum as exactnum
+import symbalance.symfun as symfun
 from symbalance.cli import main
-from symbalance.conjectures import scan_conjecture2
-from symbalance.symfun import is_balanced_elem, weight_elem
+from symbalance.conjectures import scan_conjecture1, scan_conjecture2
+from symbalance.symfun import enumerate_classes, is_balanced_elem, weight_elem
 
 
-def _count_rows(monkeypatch, module):
+def _count_rows(monkeypatch, *modules):
     built = Counter()
     original = exactnum.pascal_row
 
@@ -22,7 +23,8 @@ def _count_rows(monkeypatch, module):
         built[n] += 1
         return original(n)
 
-    monkeypatch.setattr(module, "pascal_row", counting)
+    for module in modules:
+        monkeypatch.setattr(module, "pascal_row", counting)
     return built
 
 
@@ -39,7 +41,19 @@ def test_row_queries_keep_no_memory():
     assert held < 1 << 20
 
 
-def test_only_cache_is_the_class_enumeration():
+def test_class_enumeration_keeps_no_memory():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(280, 288):
+            enumerate_classes(3, n)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+
+
+def test_package_holds_no_cache():
     # A new cache needs a benchmark number that shows it pays off.
     modules = [symbalance] + [importlib.import_module(f"symbalance.{info.name}")
                               for info in pkgutil.iter_modules(symbalance.__path__)]
@@ -48,7 +62,13 @@ def test_only_cache_is_the_class_enumeration():
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_info", None)):
                 cached.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert cached == {"symbalance.symfun._count_vectors"}
+    assert cached == set()
+
+
+def test_scan_conjecture1_builds_each_row_once(monkeypatch):
+    built = _count_rows(monkeypatch, conjectures, symfun)
+    scan_conjecture1(64)
+    assert built == Counter(range(2, 65))
 
 
 def test_scan_conjecture2_builds_each_row_once(monkeypatch):

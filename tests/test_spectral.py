@@ -3,21 +3,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from symbalance.errors import BudgetError
 from symbalance.exactnum import binom
 from symbalance.spectral import (
     check_antisymmetry,
     check_half_sums,
     half_square_sums,
-    is_sac_bruteforce,
     is_sac_elem,
     krawtchouk,
-    walsh_all_bruteforce,
-    walsh_bruteforce,
     walsh_spectrum,
     walsh_symmetric,
 )
 from symbalance.symfun import WeightFunction, elem_values, weight_elem
+
+
+def _table(wf):
+    """Truth table over all 2^n inputs, input x having weight popcount(x)."""
+    return [wf.v[x.bit_count()] for x in range(1 << wf.n)]
 
 
 def test_krawtchouk_identities():
@@ -54,7 +55,7 @@ def test_even_krawtchouk_sum_vanishes_inside(n, data):
 def test_walsh_symmetric_matches_all_mask_bruteforce(n):
     for d in range(1, n + 1):
         wf = elem_values(d, n)
-        by_mask = walsh_all_bruteforce(wf)
+        by_mask = oracles.walsh_all(_table(wf))
         spec = walsh_spectrum(wf).by_weight
         for mask in range(1 << n):
             assert by_mask[mask] == spec[mask.bit_count()]
@@ -63,22 +64,10 @@ def test_walsh_symmetric_matches_all_mask_bruteforce(n):
 def test_walsh_bruteforce_routes_agree():
     for n in range(1, 9):
         for d in range(1, n + 1):
-            wf = elem_values(d, n)
-            by_mask = walsh_all_bruteforce(wf)
-            table = [wf.v[x.bit_count()] for x in range(1 << n)]
+            table = _table(elem_values(d, n))
+            by_mask = oracles.walsh_all(table)
             for mask in range(1 << n):
-                direct = oracles.walsh_direct(table, mask)
-                assert walsh_bruteforce(wf, mask) == direct == by_mask[mask]
-
-
-def test_walsh_mask_as_bit_sequence():
-    wf = elem_values(2, 4)
-    # coordinate i corresponds to bit i of the mask int
-    assert walsh_bruteforce(wf, (1, 0, 1, 0)) == walsh_bruteforce(wf, 0b0101)
-    with pytest.raises(ValueError):
-        walsh_bruteforce(wf, (1, 0, 1))
-    with pytest.raises(ValueError):
-        walsh_bruteforce(wf, 16)
+                assert oracles.walsh_direct(table, mask) == by_mask[mask]
 
 
 def test_walsh_zero_mask_counts_weight():
@@ -99,15 +88,7 @@ def test_parseval(n):
 def test_sac_reduction_matches_bruteforce():
     for n in range(2, 13):
         for d in range(2, n + 1):
-            assert is_sac_elem(d, n) == is_sac_bruteforce(elem_values(d, n))
-
-
-def test_sac_bruteforce_matches_oracle():
-    for n in range(2, 9):
-        for d in range(2, n + 1):
-            wf = elem_values(d, n)
-            table = [wf.v[x.bit_count()] for x in range(1 << n)]
-            assert is_sac_bruteforce(wf) == oracles.sac_direct(table, n)
+            assert is_sac_elem(d, n) == oracles.sac_direct(_table(elem_values(d, n)), n)
 
 
 def test_sac_known_cells():
@@ -154,6 +135,19 @@ def test_half_square_sums():
     assert not check_half_sums(constant_zero)
     lo, hi = half_square_sums(constant_zero)
     assert lo + hi == 1 << 8  # Parseval still holds; the split is lopsided
+    # no size cap: X(2, n) satisfies the criterion for every n, X(3, 20) too
+    for d, n in ((2, 17), (3, 20), (2, 64)):
+        assert check_half_sums(elem_values(d, n))
+
+
+def test_half_square_sums_match_all_mask_oracle():
+    for n in range(1, 11):
+        for d in range(1, n + 1):
+            by_mask = oracles.walsh_all(_table(elem_values(d, n)))
+            half = 1 << (n - 1)
+            lo = sum(w * w for w in by_mask[:half])
+            hi = sum(w * w for w in by_mask[half:])
+            assert half_square_sums(elem_values(d, n)) == (lo, hi)
 
 
 def test_half_sums_hold_for_every_sac_cell():
@@ -161,16 +155,3 @@ def test_half_sums_hold_for_every_sac_cell():
         for d in range(2, n + 1):
             if is_sac_elem(d, n):
                 assert check_half_sums(elem_values(d, n))
-
-
-def test_budget_errors():
-    big = WeightFunction(21, tuple([0] * 22))
-    with pytest.raises(BudgetError):
-        walsh_bruteforce(big, 0)
-    with pytest.raises(BudgetError):
-        walsh_all_bruteforce(big)
-    mid = WeightFunction(17, tuple([0] * 18))
-    with pytest.raises(BudgetError):
-        is_sac_bruteforce(mid)
-    with pytest.raises(BudgetError):
-        half_square_sums(mid)
