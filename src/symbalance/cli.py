@@ -35,9 +35,17 @@ from .conjectures import (
     scan_conjecture2,
 )
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
-from .exactnum import binom, lacunary_exact, lacunary_sums, lacunary_trig, round_real
+from .exactnum import (
+    binom,
+    lacunary_exact,
+    lacunary_sums,
+    lacunary_trig,
+    lacunary_trig_sums,
+    pascal_row,
+    round_real,
+)
 from .spectral import is_sac_elem, walsh_spectrum
-from .symfun import elem_values, is_balanced_elem, weight_elem
+from .symfun import balance_in_row, check_degree, elem_values, weight_elem
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -50,6 +58,11 @@ COUNT_MAX_INPUTS = 1 << 20
 GENERATE_MAX_CLASSES = 4096
 LACUNARY_MAX_N = 4096
 LACUNARY_MAX_POWER = 12
+# Work of an all-residue lacunary call, M^2/2 * (2n + 2 power + 32) for
+# M = 2^power: M/2 + 1 angle sums of M/2 products each, on ints of about
+# 2n + 2 power + 32 bits.  At the cap (exactly lacunary 2358 10, 569 11 or
+# 121 12) a call took 0.9-2.4 s on a shared 2-core Xeon with CPython 3.11.
+LACUNARY_ALL_MAX_WORK = 149 << 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,8 +94,8 @@ def _cmd_weight(args) -> CommandResult:
 
 
 def _cmd_balanced(args) -> CommandResult:
-    weight = weight_elem(args.d, args.n)
-    balanced = is_balanced_elem(args.d, args.n)
+    check_degree(args.d, args.n)
+    weight, balanced = balance_in_row(args.d, pascal_row(args.n))
     verdict = "true" if balanced else "false"
     return CommandResult(
         "balanced", {"d": args.d, "n": args.n},
@@ -140,8 +153,10 @@ def _cmd_count(args) -> CommandResult:
         raise BudgetError(
             f"p^n={args.p ** args.n} exceeds the counting cap {COUNT_MAX_INPUTS}")
     symmetric = count_symmetric(args.p, args.n)
-    over_all = count_balanced_all(args.p, args.n)
+    # The census DP checks its budget first, so it runs before the costly
+    # product of binomials.
     among_symmetric = brute_count_balanced_symmetric(args.p, args.n)
+    over_all = count_balanced_all(args.p, args.n)
     return CommandResult(
         "count", {"p": args.p, "n": args.n},
         ["p", "n", "symmetric", "balanced_all", "balanced_symmetric"],
@@ -178,8 +193,6 @@ def _cmd_generate(args) -> CommandResult:
 
 
 def _cmd_scan_c1(args) -> CommandResult:
-    if args.workers < 1:
-        raise ValueError("workers must be positive")
     cells = scan_conjecture1(args.n_max)
     bad = conjecture1_mismatches(cells)
     rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
@@ -195,8 +208,6 @@ def _cmd_scan_c1(args) -> CommandResult:
 
 
 def _cmd_scan_c2(args) -> CommandResult:
-    if args.workers < 1:
-        raise ValueError("workers must be positive")
     cells = scan_conjecture2(args.n_max)
     bad = conjecture2_violations(cells)
     rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
@@ -217,11 +228,18 @@ def _cmd_lacunary(args) -> CommandResult:
     if args.power > LACUNARY_MAX_POWER:
         raise BudgetError(f"power={args.power} exceeds the cap {LACUNARY_MAX_POWER}")
     modulus = 1 << args.power
-    exact_sums = (enumerate(lacunary_sums(args.n, args.power)) if args.i is None
-                  else [(args.i, lacunary_exact(args.n, args.power, args.i))])
+    if args.i is None:
+        work = modulus * modulus // 2 * (2 * args.n + 2 * args.power + 32)
+        if work > LACUNARY_ALL_MAX_WORK:
+            raise BudgetError(f"all residues of n={args.n} mod {modulus} need work "
+                              f"{work}, over the cap {LACUNARY_ALL_MAX_WORK}")
+        routes = enumerate(zip(lacunary_sums(args.n, args.power),
+                               lacunary_trig_sums(args.n, args.power)))
+    else:
+        exact = lacunary_exact(args.n, args.power, args.i)
+        routes = [(args.i, (exact, round_real(lacunary_trig(args.n, args.power, args.i))))]
     rows = []
-    for i, exact in exact_sums:
-        trig = round_real(lacunary_trig(args.n, args.power, i))
+    for i, (exact, trig) in routes:
         if exact != trig:
             raise InternalCheckError(
                 f"lacunary routes disagree at n={args.n}, i={i}: {exact} vs {trig}")
@@ -306,14 +324,10 @@ def _build_parser() -> _Parser:
     c1 = sub.add_parser("scan-c1", parents=[common],
                         help="compare exact balancedness with the conjectured set")
     c1.add_argument("--n-max", type=int, default=C1_MAX_N)
-    # --workers on both scans is accepted and ignored for one release:
-    # scans run serially.
-    c1.add_argument("--workers", type=int, default=1)
 
     c2 = sub.add_parser("scan-c2", parents=[common],
                         help="check weights against the strict quarter bound")
     c2.add_argument("--n-max", type=int, default=C2_DEFAULT_N)
-    c2.add_argument("--workers", type=int, default=1)
 
     ap = sub.add_parser("lacunary", parents=[common],
                         help="binomial sums along residue classes mod 2^power, "

@@ -1,10 +1,13 @@
 """Exact integer combinatorics and high-precision real evaluation.
 
-Arbitrary-precision naturals are plain Python ints.  Real-valued series
-(the closed trigonometric forms for lacunary binomial sums) are evaluated
-with mpmath at PRECISION_BITS of mantissa, with every cosine/sine argument
-kept as an exact rational multiple of pi and reduced mod 2 before the
-numeric call.  Floats never decide a verdict anywhere in this package;
+Arbitrary-precision naturals are plain Python ints.  The closed
+trigonometric form of a lacunary binomial sum is evaluated in fixed point
+on plain ints, at a precision chosen from n and the modulus, with a proven
+error bound: each value is rounded only when the bound certifies the
+nearest integer.  The weight closed forms of `conjectures` use the mpmath
+helpers here at a fixed PRECISION_BITS of mantissa, with every cosine/sine
+argument kept as an exact rational multiple of pi and reduced mod 2 before
+the numeric call.  Floats never decide a verdict anywhere in this package;
 they only cross-check integers.
 """
 
@@ -15,6 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath
+from mpmath import libmp
+
+from .errors import InternalCheckError
 
 PRECISION_BITS = 96
 
@@ -159,9 +165,110 @@ def compensated_sum(terms: Iterable) -> mpmath.mpf:
 
 
 def round_real(x) -> int:
-    """Nearest integer to a high-precision real."""
-    with mpmath.workprec(PRECISION_BITS):
-        return int(mpmath.nint(x))
+    """Nearest integer to a high-precision real, ties to even, computed
+    exactly from the mantissa and exponent of an mpf at any magnitude."""
+    if not isinstance(x, mpmath.mpf):
+        with mpmath.workprec(PRECISION_BITS):
+            x = mpmath.mpf(x)
+    if not mpmath.isfinite(x):
+        raise ValueError(f"cannot round {x}")
+    man, exp = x.man_exp  # man is the magnitude
+    return round(Fraction(-int(man) if x < 0 else int(man)) * Fraction(2) ** int(exp))
+
+
+def _lacunary_precision(n: int, power: int) -> int:
+    """Fractional bits P of the fixed-point lacunary kernel."""
+    return n + 2 * power + n.bit_length() + 32
+
+
+def _lacunary_error_bound(n: int, power: int) -> Fraction:
+    """The bound E = (n + 1) 2^(n + power + 3 - P) of _lacunary_fixed."""
+    return Fraction(n + 1, 1 << (_lacunary_precision(n, power) - n - power - 3))
+
+
+def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, list[int]]:
+    """The closed form of lacunary_trig for each residue i, as (Q, [A_i 2^Q]).
+
+    With M = 2^power, b_j = 2 cos(j pi / M) and u = 2^-P (P from
+    _lacunary_precision), everything is a plain int scaled by 2^P:
+
+    1. cos(pi/M) and sin(pi/M) come from mpmath.libmp at P + 4 bits and
+       are rounded to within u.
+    2. cos(k pi/M) for 0 <= k <= M/2 comes from k rotations by that pair,
+       each truncated.  A rotation keeps the error already made, and the
+       errors of the pair and of the truncation add less than 3u, so
+       entry k is within 3k u <= 1.5 M u.
+       Every angle j (n - 2i) pi / M folds into this table by exact sign
+       and symmetry.
+    3. b_j^n comes from square-and-multiply on the truncated base, whose
+       error is at most 3 M u.  With |b_j| < 2, each product multiplies
+       the relative error factors and truncation adds u, so after at most
+       2L products (L = n.bit_length()) the error is at most
+       2^n ((1 + 1.5 M u)^n (1 + u)^(2L) - 1) <= 2^n (3 n M + 4 L) u.
+       Dropping the n lowest bits then adds less than 2^n u.
+    4. Each residue sums the M/2 - 1 products exactly.  A product is off
+       by at most 2^n (3 n M + 4 L + 1) u (1 + 1.5 M u) + 2^n 1.5 M u,
+       and the sum is scaled by 2^(1 - power) = 2/M, so
+
+           |A - exact| <= 2^n u (5 n M + 2 M) <= E = (n + 1) 2^(n + power + 3 - P)
+
+       (power 1 has no terms, so no error).
+
+    E < 2^(-power - 29), far below 1/2.  Each A is certified: the interval
+    [A - E, A + E] must hold exactly one integer, that is E < 1/2 and
+    |A - round(A)| <= E; otherwise InternalCheckError is raised.
+    """
+    if n == 0:
+        raise ValueError("the closed form requires n >= 1")
+    bound = _lacunary_error_bound(n, power)
+    if 2 * bound >= 1:
+        raise InternalCheckError(f"lacunary error bound {bound} is not below 1/2")
+    mod = 1 << power
+    half = mod >> 1
+    prec = _lacunary_precision(n, power)
+    frac = prec - n
+    cos1, sin1 = libmp.mpf_cos_sin_pi(libmp.from_man_exp(1, -power), prec + 4)
+    c1 = (libmp.to_fixed(cos1, prec + 4) + 8) >> 4
+    s1 = (libmp.to_fixed(sin1, prec + 4) + 8) >> 4
+    quarter = [1 << prec]
+    c, s = 1 << prec, 0
+    for _ in range(half):
+        c, s = (c * c1 - s * s1) >> prec, (s * c1 + c * s1) >> prec
+        quarter.append(c)
+    # cos(r pi / M) for 0 <= r < 2M: cos(r) = -cos(M - r), cos(2M - r) = cos(r).
+    table = quarter + [-x for x in reversed(quarter[:-1])]
+    table += table[mod - 1:0:-1]
+    bits = bin(n)[3:]
+    powers = []
+    for j in range(1, half):
+        base = 2 * quarter[j]
+        y = base
+        for bit in bits:
+            y = y * y >> prec
+            if bit == "1":
+                y = y * base >> prec
+        powers.append(y >> n)
+    # Products carry frac + prec fractional bits; A = 2^(n-power) + 2^(1-power) sum.
+    scale = frac + prec + power
+    lead = 1 << (n - power + scale)
+    wrap = 2 * mod - 1
+    by_angle: dict[int, int] = {}
+    out = []
+    for i in residues:
+        step = (n - 2 * i) & wrap
+        # Residues i and n - i (mod M) have opposite angles: C(n, j) = C(n, n - j).
+        key = min(step, 2 * mod - step)
+        if key not in by_angle:
+            by_angle[key] = lead + 2 * sum([y * table[j * key & wrap]
+                                            for j, y in enumerate(powers, 1)])
+        value = by_angle[key]
+        nearest = (value + (1 << (scale - 1))) >> scale
+        if abs(value - (nearest << scale)) * bound.denominator > bound.numerator << scale:
+            raise InternalCheckError(
+                f"lacunary closed form at n={n}, power={power}, i={i} is not "
+                f"within its error bound of an integer")
+        out.append(value)
+    return scale, out
 
 
 def lacunary_trig(n: int, power: int, i: int) -> mpmath.mpf:
@@ -170,15 +277,18 @@ def lacunary_trig(n: int, power: int, i: int) -> mpmath.mpf:
         2^(n-p) + 2^(1-p) * sum_{j=1}^{2^(p-1)-1}
                   (2 cos(j pi / 2^p))^n cos(j (n - 2i) pi / 2^p)
 
-    Rounding the result recovers the exact sum.
+    evaluated by _lacunary_fixed and returned exactly as an mpf.  It is
+    certified to lie within 2^(-p-29) of the exact sum, so round_real
+    recovers it.
     """
     _validate_lacunary(n, power, i)
-    if n == 0:
-        raise ValueError("the closed form requires n >= 1")
-    mod = 1 << power
-    with mpmath.workprec(PRECISION_BITS):
-        terms = []
-        for j in range(1, mod // 2):
-            base = 2 * cospi_frac(Fraction(j, mod))
-            terms.append(base ** n * cospi_frac(Fraction(j * (n - 2 * i), mod)))
-        return mpmath.mpf(2) ** (n - power) + mpmath.mpf(2) ** (1 - power) * compensated_sum(terms)
+    scale, (value,) = _lacunary_fixed(n, power, [i])
+    return mpmath.mp.make_mpf(libmp.from_man_exp(value, -scale))
+
+
+def lacunary_trig_sums(n: int, power: int) -> tuple[int, ...]:
+    """The certified rounding of lacunary_trig(n, power, i) for every
+    residue i, from one cosine table and one set of n-th powers."""
+    _validate_lacunary(n, power, 0)
+    scale, values = _lacunary_fixed(n, power, range(1 << power))
+    return tuple((v + (1 << (scale - 1))) >> scale for v in values)

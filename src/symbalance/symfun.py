@@ -132,11 +132,16 @@ def is_balanced(f: SymmetricFunction) -> bool:
     return all(count == share for count in balance_histogram(f))
 
 
+def check_degree(d: int, n: int) -> None:
+    """Demand 1 <= d <= n, the degrees of X(d, n)."""
+    if not 1 <= d <= n:
+        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+
+
 def elem_values(d: int, n: int) -> WeightFunction:
     """Weight-value vector of the degree-d elementary symmetric form:
     v(j) = C(j, d) mod 2."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    check_degree(d, n)
     return WeightFunction(n, tuple(binom_mod_p(j, d, 2) for j in range(n + 1)))
 
 
@@ -148,8 +153,7 @@ def weight_in_row(d: int, row: tuple[int, ...]) -> int:
 def weight_elem(d: int, n: int) -> int:
     """Hamming weight of the degree-d elementary symmetric form on n bits:
     the sum of C(n, i) over i whose binary digits dominate those of d."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    check_degree(d, n)
     return weight_in_row(d, pascal_row(n))
 
 
@@ -170,8 +174,7 @@ def balance_in_row(d: int, row: tuple[int, ...]) -> tuple[int, bool]:
 
 def is_balanced_elem(d: int, n: int) -> bool:
     """Balance of the elementary form (see balance_in_row)."""
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    check_degree(d, n)
     return balance_in_row(d, pascal_row(n))[1]
 
 

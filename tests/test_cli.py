@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+import oracles
 import symbalance.cli as cli
 from symbalance.cli import main
 from symbalance.conjectures import BoundCell, ScanCell
@@ -206,14 +207,6 @@ def test_scan_c1_csv_header_and_booleans(capsys):
     assert "2,4,10,false,false" in lines
 
 
-def test_scan_c1_worker_output_identical(capsys):
-    _, one, _ = run(capsys, ["scan-c1", "--n-max", "14", "--workers", "1",
-                             "--format", "json"])
-    _, two, _ = run(capsys, ["scan-c1", "--n-max", "14", "--workers", "2",
-                             "--format", "json"])
-    assert strip_runtime(one) == strip_runtime(two)
-
-
 def test_scan_c1_counterexample_exit(monkeypatch, capsys):
     fake = [ScanCell(d=3, n=5, weight=16, balanced=True, predicted=False)]
     monkeypatch.setattr(cli, "scan_conjecture1", lambda n_max: fake)
@@ -293,7 +286,15 @@ def test_domain_error_maps_to_usage(capsys):
     code, _, err = run(capsys, ["weight", "0", "5"])
     assert code == 64
     assert "error" in err
-    assert run(capsys, ["scan-c1", "--workers", "0"])[0] == 64
+    assert run(capsys, ["balanced", "5", "4"]) == (
+        64, "", "error: need 1 <= d <= n, got d=5, n=4\n")
+
+
+@pytest.mark.parametrize("command", ["scan-c1", "scan-c2"])
+def test_scans_reject_the_deleted_workers_flag(capsys, command):
+    code, _, err = run(capsys, [command, "--workers", "1"])
+    assert code == 64
+    assert "unrecognized arguments: --workers 1" in err
 
 
 def test_orbit_split_maps_to_usage(capsys):
@@ -317,10 +318,67 @@ def test_budget_exhaustion(capsys, argv):
 
 
 def test_route_disagreement_maps_to_internal(monkeypatch, capsys):
+    # All residues compare against lacunary_trig_sums, one residue against
+    # the rounded lacunary_trig.
+    monkeypatch.setattr(cli, "lacunary_trig_sums", lambda n, power: (-1, -1))
     monkeypatch.setattr(cli, "round_real", lambda value: -1)
-    code, _, err = run(capsys, ["lacunary", "4", "1"])
-    assert code == 70
-    assert "internal check failed" in err
+    for argv in (["lacunary", "4", "1"], ["lacunary", "4", "1", "0"]):
+        code, _, err = run(capsys, argv)
+        assert code == 70
+        assert err == ("internal check failed: lacunary routes disagree "
+                       "at n=4, i=0: 8 vs -1\n")
+
+
+def test_count_refuses_before_the_product_of_binomials(monkeypatch, capsys):
+    def forbidden(p, n):
+        raise AssertionError("count_balanced_all ran before the budget check")
+
+    monkeypatch.setattr(cli, "count_balanced_all", forbidden)
+    code, out, err = run(capsys, ["count", "3", "12"])
+    assert (code, out) == (65, "")
+    assert err == "error: assignment space p^91 exceeds the 2^96 cap\n"
+
+
+def test_all_residue_lacunary_budget_at_the_cap(capsys):
+    # lacunary 569 11 needs exactly the cap; one more n is over it.
+    assert 2 ** 21 * (2 * 569 + 2 * 11 + 32) == cli.LACUNARY_ALL_MAX_WORK
+    code, out, _ = run(capsys, ["lacunary", "569", "11", "--format", "csv"])
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2048
+    assert rows[100] == f"100,{math.comb(569, 100)},{math.comb(569, 100)}"
+    assert rows[600] == "600,0,0"
+    code, out, err = run(capsys, ["lacunary", "570", "11"])
+    assert (code, out) == (65, "")
+    assert err.startswith("error: all residues of n=570 mod 2048 need work")
+    # A single residue does one angle sum, so it is not refused.
+    assert run(capsys, ["lacunary", "570", "11", "5"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["lacunary", "100", "6"],
+    ["lacunary", "4096", "12", "0"],
+    # Past the old 96-bit route, one per workload power.
+    ["lacunary", "213", "2"],
+    ["lacunary", "170", "3"],
+    ["lacunary", "133", "4"],
+    ["lacunary", "130", "5"],
+    ["lacunary", "135", "6"],
+    ["lacunary", "137", "7"],
+    ["lacunary", "140", "8", "77"],
+    ["lacunary", "140", "9", "300"],
+    ["lacunary", "140", "10", "1000"],
+    ["lacunary", "140", "11", "2047"],
+    ["lacunary", "140", "12", "4000"],
+])
+def test_lacunary_answers_past_the_old_96_bit_route(capsys, argv):
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    n, power = int(argv[1]), int(argv[2])
+    residues = [int(argv[3])] if len(argv) > 3 else range(1 << power)
+    sums = [(i, oracles.lacunary_sum_direct(n, power, i)) for i in residues]
+    expected = [f"{i},{s},{s}" for i, s in sums]
+    assert out.splitlines() == ["i,exact,trig"] + expected
 
 
 def test_import_starts_no_process_machinery():

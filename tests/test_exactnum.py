@@ -1,11 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import symbalance.exactnum as exactnum
+from symbalance.errors import InternalCheckError
 from symbalance.exactnum import (
     binom,
     binom_mod_p,
@@ -16,6 +20,7 @@ from symbalance.exactnum import (
     lacunary_exact,
     lacunary_sums,
     lacunary_trig,
+    lacunary_trig_sums,
     multinomial,
     pascal_row,
     round_real,
@@ -97,6 +102,8 @@ def test_lacunary_trig_rejects_n_zero():
     assert lacunary_exact(0, 2, 0) == 1
     with pytest.raises(ValueError):
         lacunary_trig(0, 2, 0)
+    with pytest.raises(ValueError):
+        lacunary_trig_sums(0, 2)
 
 
 def test_lacunary_validation():
@@ -135,3 +142,71 @@ def test_compensated_sum_cancellation():
 def test_round_real():
     assert round_real(compensated_sum([0.5, 0.25, 0.25])) == 1
     assert round_real(lacunary_trig(10, 2, 1)) == 272
+
+
+def test_round_real_is_exact_at_any_magnitude():
+    with mpmath.workprec(400):
+        big = mpmath.mpf(2 ** 200 + 1)
+        assert round_real(big) == 2 ** 200 + 1
+        assert round_real(big + mpmath.mpf(0.5)) == 2 ** 200 + 2
+        assert round_real(-big - mpmath.mpf(0.25)) == -(2 ** 200 + 1)
+    # Ties go to even, as mpmath.nint did.
+    assert [round_real(mpmath.mpf(x)) for x in (0.5, 1.5, 2.5, -0.5, -1.5)] == [0, 2, 2, 0, -2]
+    assert round_real(7) == 7
+
+
+LACUNARY_SWEEP_N = (1, 2, 3, 5, 7, 40, 100, 193, 1000)
+
+
+def _checked_errors(n, power, residues):
+    """The kernel's |A - exact| for each residue, against the bound E."""
+    scale, values = exactnum._lacunary_fixed(n, power, residues)
+    bound = exactnum._lacunary_error_bound(n, power)
+    errors = []
+    for i, value in zip(residues, values):
+        exact = oracles.lacunary_sum_direct(n, power, i)
+        error = Fraction(abs(value - (exact << scale)), 1 << scale)
+        assert error <= bound, (n, power, i)
+        errors.append(error)
+    return errors
+
+
+@pytest.mark.parametrize("power", range(1, 9))
+def test_certified_lacunary_matches_oracle_on_every_residue(power):
+    for n in LACUNARY_SWEEP_N:
+        assert lacunary_trig_sums(n, power) == tuple(
+            oracles.lacunary_sum_direct(n, power, i) for i in range(1 << power))
+        errors = _checked_errors(n, power, range(1 << power))
+        assert max(errors) < Fraction(1, 1 << (power + 29))
+
+
+@pytest.mark.parametrize("power", range(9, 13))
+def test_certified_lacunary_matches_oracle_on_sampled_residues(power):
+    rng = random.Random(power)
+    for n in (1, 150, 1000, 4096):
+        residues = [0, (1 << power) - 1] + rng.sample(range(1 << power), 6)
+        _checked_errors(n, power, residues)
+        i = residues[-1]
+        assert round_real(lacunary_trig(n, power, i)) == oracles.lacunary_sum_direct(n, power, i)
+
+
+def test_lacunary_error_bound_is_far_below_one_half():
+    for n, power in ((4096, 1), (4096, 12)):
+        bound = exactnum._lacunary_error_bound(n, power)
+        assert bound < Fraction(1, 2)
+        assert bound < Fraction(1, 1 << (power + 29))
+
+
+def test_lacunary_trig_is_the_kernel_value_exactly():
+    scale, (value,) = exactnum._lacunary_fixed(100, 6, [3])
+    man, exp = lacunary_trig(100, 6, 3).man_exp
+    assert Fraction(man) * Fraction(2) ** exp == Fraction(value, 1 << scale)
+
+
+def test_lacunary_certificate_refuses_a_value_outside_its_bound(monkeypatch):
+    monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: Fraction(0))
+    with pytest.raises(InternalCheckError):
+        lacunary_trig_sums(10, 3)
+    monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: Fraction(1, 2))
+    with pytest.raises(InternalCheckError):
+        lacunary_trig(10, 3, 0)

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import symbalance
+import symbalance.cli as cli
 import symbalance.conjectures as conjectures
 import symbalance.exactnum as exactnum
 import symbalance.symfun as symfun
@@ -82,3 +83,10 @@ def test_all_residue_lacunary_builds_its_row_once(monkeypatch, capsys):
     assert main(["lacunary", "40", "3"]) == 0
     assert built == Counter([40])
     capsys.readouterr()
+
+
+def test_balanced_command_builds_its_row_once(monkeypatch, capsys):
+    built = _count_rows(monkeypatch, cli, symfun)
+    assert main(["balanced", "4", "4095"]) == 0
+    assert built == Counter([4095])
+    assert capsys.readouterr().out.endswith("balanced: true\n")
