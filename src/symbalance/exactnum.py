@@ -26,15 +26,18 @@ PRECISION_BITS = 96
 
 
 def pascal_row(n: int) -> tuple[int, ...]:
-    """Row n of Pascal's triangle, by incremental multiplication.  Not
-    cached: a caller builds each row once and passes it on."""
+    """Row n of Pascal's triangle: the entries k <= n/2 by incremental
+    multiplication, the rest mirrored from them (the same int objects, so
+    the row holds about half the memory).  Not cached: a caller builds
+    each row once and passes it on."""
     if n < 0:
         raise ValueError("row index must be non-negative")
     row = [1]
     c = 1
-    for k in range(n):
+    for k in range(n // 2):
         c = c * (n - k) // (k + 1)
         row.append(c)
+    row.extend(reversed(row[:(n + 1) // 2]))
     return tuple(row)
 
 

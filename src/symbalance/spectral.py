@@ -2,21 +2,28 @@
 
 Grouping the Walsh sum by input weight turns the 2^n-term transform into an
 (n+1)-term sum against Krawtchouk values, so a symmetric function's spectrum
-is stored per weight class y = wt(w).  Everything in this module is exact
-integer arithmetic on the n + 1 weight classes; the all-mask brute-force
-evaluators it is tested against live in tests/oracles.py.
+is stored per weight class y = wt(w).  The Krawtchouk values P_k(y, n) are
+the coefficients of (1 - z)^y (1 + z)^(n - y); stepping y to y + 1
+multiplies that polynomial by (1 - z)/(1 + z), so each column of values
+follows from the last by n + 1 integer additions, starting from row n of
+Pascal's triangle at y = 0.  A whole spectrum costs O(n^2) additions.
+Everything in this module is exact integer arithmetic on the n + 1 weight
+classes; the all-mask brute-force evaluators it is tested against live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .exactnum import binom
+from .exactnum import binom, pascal_row
 from .symfun import WeightFunction, elem_values, is_balanced_elem
 
 
 def krawtchouk(k: int, y: int, n: int) -> int:
-    """P_k(y, n) = sum_j (-1)^j C(y, j) C(n-y, k-j), exactly."""
+    """P_k(y, n) = sum_j (-1)^j C(y, j) C(n-y, k-j), exactly, one value at
+    a time (walsh_spectrum builds whole columns by recurrence)."""
     if not (0 <= k <= n and 0 <= y <= n):
         raise ValueError("need 0 <= k, y <= n")
     return sum((-1) ** j * binom(y, j) * binom(n - y, k - j) for j in range(k + 1))
@@ -26,7 +33,7 @@ def walsh_symmetric(wf: WeightFunction, y: int) -> int:
     """Walsh value at any mask of weight y: sum_k (-1)^(v(k)) P_k(y, n)."""
     if not 0 <= y <= wf.n:
         raise ValueError("need 0 <= y <= n")
-    return sum((1 - 2 * wf.v[k]) * krawtchouk(k, y, wf.n) for k in range(wf.n + 1))
+    return walsh_spectrum(wf).by_weight[y]
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,21 @@ class WalshSpectrum:
 
 
 def walsh_spectrum(wf: WeightFunction) -> WalshSpectrum:
-    return WalshSpectrum(wf.n, tuple(walsh_symmetric(wf, y) for y in range(wf.n + 1)))
+    """W(y) = sum_k (-1)^(v(k)) P_k(y, n) for every y.  With A_k = P_k(y, n)
+    and B_k = P_k(y + 1, n), B(z)(1 + z) = A(z)(1 - z) gives
+    B_k = A_k - A_(k-1) - B_(k-1), so the column is updated in place."""
+    signs = [1 - 2 * b for b in wf.v]
+    column = list(pascal_row(wf.n))  # P_k(0, n) = C(n, k)
+    by_weight = []
+    for y in range(wf.n + 1):
+        if y:
+            a_prev = b = 0
+            for k, a in enumerate(column):
+                b = a - a_prev - b
+                a_prev = a
+                column[k] = b
+        by_weight.append(sum(map(mul, signs, column)))
+    return WalshSpectrum(wf.n, tuple(by_weight))
 
 
 def is_sac_elem(d: int, n: int) -> bool:

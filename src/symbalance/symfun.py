@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .exactnum import binom, binom_mod_p, is_prime, multinomial, pascal_row
+from .exactnum import binom, is_prime, multinomial, pascal_row
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,22 @@ def check_degree(d: int, n: int) -> None:
 
 def elem_values(d: int, n: int) -> WeightFunction:
     """Weight-value vector of the degree-d elementary symmetric form:
-    v(j) = C(j, d) mod 2."""
+    v(j) = C(j, d) mod 2, which by Kummer's theorem is 1 exactly when
+    adding d and j - d in base 2 carries nowhere."""
     check_degree(d, n)
-    return WeightFunction(n, tuple(binom_mod_p(j, d, 2) for j in range(n + 1)))
+    return WeightFunction(n, (0,) * d + tuple(int(not m & d) for m in range(n - d + 1)))
 
 
 def weight_in_row(d: int, row: tuple[int, ...]) -> int:
-    """Sum of row[i] over the i that dominate d: wt(X(d, n)) for row = pascal_row(n)."""
-    return sum(row[i] for i in range(d, len(row)) if dominated(d, i))
+    """Sum of row[i] over the i that dominate d: wt(X(d, n)) for row = pascal_row(n).
+    The walk visits only those i, stepping from one to the next with
+    i = (i + 1) | d."""
+    total = 0
+    i = d
+    while i < len(row):
+        total += row[i]
+        i = (i + 1) | d
+    return total
 
 
 def weight_elem(d: int, n: int) -> int:
@@ -180,14 +188,15 @@ def is_balanced_elem(d: int, n: int) -> bool:
 
 def _domination_transform(bits: tuple[int, ...]) -> tuple[int, ...]:
     """out(i) = XOR of bits(j) over all j dominated by i; over GF(2) this
-    transform is its own inverse."""
-    out = []
-    for i in range(len(bits)):
-        acc = 0
-        for j in range(i + 1):
-            if j & i == j:
-                acc ^= bits[j]
-        out.append(acc)
+    transform is its own inverse.  Computed in place by the subset-XOR
+    butterfly: one pass per bit b folds entry i ^ b into each i holding b."""
+    out = list(bits)
+    b = 1
+    while b < len(out):
+        for i in range(b, len(out)):
+            if i & b:
+                out[i] ^= out[i ^ b]
+        b <<= 1
     return tuple(out)
 
 

@@ -35,6 +35,19 @@ def elem_weight_dominating(d, n):
     return sum(math.comb(n, i) for i in range(d, n + 1) if i & d == d)
 
 
+def domination_xor(bits):
+    """out(i) = XOR of bits(j) over every j <= i whose binary digits are
+    dominated by those of i, one pair (i, j) at a time."""
+    out = []
+    for i in range(len(bits)):
+        acc = 0
+        for j in range(i + 1):
+            if j & i == j:
+                acc ^= bits[j]
+        out.append(acc)
+    return tuple(out)
+
+
 def walsh_direct(table, w):
     """Walsh value at mask w straight from the definition."""
     total = 0

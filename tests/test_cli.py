@@ -305,7 +305,7 @@ def test_orbit_split_maps_to_usage(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["scan-c1", "--n-max", "100"],
-    ["walsh", "2", "65"],
+    ["walsh", "2", str(cli.WALSH_MAX_N + 1)],
     ["count", "2", "21"],
     ["bisect", "33"],
     ["lacunary", "5000", "2"],
@@ -315,6 +315,12 @@ def test_budget_exhaustion(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 65
     assert "error" in err
+
+
+def test_walsh_answers_at_the_cap(capsys):
+    code, out, _ = run(capsys, ["walsh", "2", str(cli.WALSH_MAX_N)])
+    assert code == 0
+    assert len(out.splitlines()) == cli.WALSH_MAX_N + 1
 
 
 def test_route_disagreement_maps_to_internal(monkeypatch, capsys):
@@ -391,6 +397,40 @@ def test_import_starts_no_process_machinery():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------- parser
+
+
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    def forbidden():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", forbidden)
+    assert run(capsys, ["weight", "3", "6"]) == (0, "wt(X(3,6)) = 20\n", "")
+
+
+def test_bisect_options_do_not_carry_over(capsys):
+    code, out, _ = run(capsys, ["bisect", "8", "--enumerate", "--limit", "2"])
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    assert run(capsys, ["bisect", "8"]) == (
+        0, "n=8: 6 solutions (2 trivial, 4 nontrivial)\n", "")
+
+
+def test_generate_limit_does_not_carry_over(capsys):
+    # p = 3, n = 2 has 36 balanced functions, so the default limit of 10 bites
+    code, out, _ = run(capsys, ["generate", "3", "2", "--limit", "1"])
+    assert (code, len(out.splitlines())) == (0, 1)
+    code, out, _ = run(capsys, ["generate", "3", "2"])
+    assert (code, len(out.splitlines())) == (0, 10)
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    code, _, err = run(capsys, ["weight", "x", "6"])
+    assert code == 64
+    assert "invalid int value" in err
+    assert run(capsys, ["weight", "3", "6"]) == (0, "wt(X(3,6)) = 20\n", "")
 
 
 def test_help_exits_cleanly(capsys):

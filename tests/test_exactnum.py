@@ -39,6 +39,18 @@ def test_pascal_row_matches_comb(n):
     assert pascal_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
 
 
+def test_pascal_row_matches_comb_up_to_300_and_near_4096():
+    for n in [*range(301), 4095, 4096, 4097]:
+        assert pascal_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def test_pascal_row_mirrors_its_first_half():
+    # the upper half holds the very int objects of the lower half
+    for n in (1, 2, 7, 8, 4096, 4097):
+        row = pascal_row(n)
+        assert all(row[k] is row[n - k] for k in range(n + 1))
+
+
 def test_binom_outside_range_is_zero():
     assert binom(5, 7) == 0
     assert binom(5, -1) == 0

@@ -77,7 +77,33 @@ def test_walsh_zero_mask_counts_weight():
             assert spec[0] == (1 << n) - 2 * weight_elem(d, n)
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+def _krawtchouk_sums(v, columns):
+    """sum_k (-1)^(v(k)) P_k(y, n) for each column P_.(y, n)."""
+    return tuple(sum((1 - 2 * b) * p for b, p in zip(v, column)) for column in columns)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_walsh_spectrum_matches_krawtchouk_sums(n):
+    # krawtchouk sums C(y, j) C(n-y, k-j) one value at a time, independent
+    # of the column recurrence behind walsh_spectrum
+    columns = [[krawtchouk(k, y, n) for k in range(n + 1)] for y in range(n + 1)]
+    for d in range(1, n + 1):
+        wf = elem_values(d, n)
+        assert walsh_spectrum(wf).by_weight == _krawtchouk_sums(wf.v, columns)
+
+
+@given(st.integers(min_value=0, max_value=128), st.data())
+def test_walsh_spectrum_matches_krawtchouk_sums_on_any_function(n, data):
+    bits = data.draw(st.lists(st.sampled_from((0, 1)), min_size=n + 1, max_size=n + 1))
+    wf = WeightFunction(n, tuple(bits))
+    spec = walsh_spectrum(wf).by_weight
+    ys = data.draw(st.lists(st.integers(min_value=0, max_value=n), min_size=1, max_size=3))
+    columns = [[krawtchouk(k, y, n) for k in range(n + 1)] for y in ys]
+    assert tuple(spec[y] for y in ys) == _krawtchouk_sums(bits, columns)
+    assert walsh_symmetric(wf, ys[0]) == spec[ys[0]]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
 def test_parseval(n):
     for d in range(1, n + 1):
         spec = walsh_spectrum(elem_values(d, n)).by_weight

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from symbalance.exactnum import binom
+from symbalance.exactnum import binom, binom_mod_p
 from symbalance.symfun import (
     AnfVector,
     MultisetClass,
@@ -21,6 +22,7 @@ from symbalance.symfun import (
     is_balanced_elem,
     values_from_anf,
     weight_elem,
+    weight_in_row,
 )
 
 
@@ -183,6 +185,18 @@ def test_anf_round_trip(n, data):
     assert anf_from_values(values_from_anf(anf)) == anf
 
 
+def test_domination_transform_matches_pairwise_oracle():
+    # one seeded bit vector per n <= 300, through both directions and back
+    rng = random.Random(0)
+    for n in range(301):
+        bits = tuple(rng.getrandbits(1) for _ in range(n + 1))
+        expected = oracles.domination_xor(bits)
+        assert values_from_anf(AnfVector(n, bits)).v == expected
+        assert anf_from_values(WeightFunction(n, bits)).lam == expected
+        assert anf_from_values(values_from_anf(AnfVector(n, bits))).lam == bits
+        assert values_from_anf(anf_from_values(WeightFunction(n, bits))).v == bits
+
+
 def test_anf_of_elementary_form_is_single_coefficient():
     # X(d, n) has ANF vector with a single 1 in position d
     for n in range(1, 11):
@@ -197,3 +211,18 @@ def test_elem_values_match_parity():
         for d in range(1, n + 1):
             wf = elem_values(d, n)
             assert wf.v == tuple(math.comb(j, d) % 2 for j in range(n + 1))
+
+
+def test_elem_values_match_lucas_for_every_degree():
+    # the Kummer carry test against the general binom_mod_p, 1 <= d <= n <= 300
+    for d in range(1, 301):
+        lucas = tuple(binom_mod_p(j, d, 2) for j in range(301))
+        for n in range(d, 301):
+            assert elem_values(d, n).v == lucas[:n + 1]
+
+
+def test_weight_in_row_matches_the_dominance_filter():
+    for n in range(201):
+        row = tuple(math.comb(n, i) for i in range(n + 1))
+        for d in range(n + 1):
+            assert weight_in_row(d, row) == sum(c for i, c in enumerate(row) if i & d == d)
