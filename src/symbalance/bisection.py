@@ -11,7 +11,7 @@ search reproduces exactly where those exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Optional
 
 from .census import brute_count_balanced_symmetric
@@ -86,6 +86,8 @@ def find_all_solutions(n: int, enumerate_witnesses: bool = False,
         raise BudgetError(f"solution search capped at n <= {SEARCH_MAX_N}")
     if n < 0:
         raise ValueError("n must be non-negative")
+    if witness_limit is not None and witness_limit < 0:
+        raise ValueError("witness_limit must be non-negative")
     total = trivial = 0
     if n >= 1:
         total = brute_count_balanced_symmetric(2, n)
@@ -99,24 +101,53 @@ def find_all_solutions(n: int, enumerate_witnesses: bool = False,
                           nontrivial=total - trivial, witnesses=witnesses)
 
 
+def _signed_sums(weights: tuple[int, ...]) -> list[int]:
+    """Every signed sum of weights, in the lex order of their sign tuples
+    (-1 before +1): doubling on the weights taken last to first."""
+    sums = [0]
+    for w in reversed(weights):
+        sums = [s - w for s in sums] + [s + w for s in sums]
+    return sums
+
+
+def _signs(index: int, k: int) -> tuple[int, ...]:
+    """Sign tuple number index in the lex order on k signs: bit k-1-j of
+    index is sign j, 1 for +1 and 0 for -1."""
+    return tuple(1 if index >> (k - 1 - j) & 1 else -1 for j in range(k))
+
+
 def _nontrivial_in_lex_order(n: int):
-    """Yield nontrivial solutions lexicographically (-1 before +1): the low
-    prefix of ceil(n/2) signs runs in lex order and matching high suffixes
-    are grouped by sum; each prefix's one trivial suffix is skipped."""
+    """Yield nontrivial solutions lexicographically (-1 before +1).
+
+    The low prefix of cut = ceil(n/2) signs and the high suffix are held as
+    their indices in lex order, with every signed sum listed by doubling.
+    High indices are grouped by sum and the low indices run in order, so a
+    sign tuple is built only for a prefix that has a nontrivial match.
+    Each prefix has at most one trivial suffix, which is skipped: for odd n
+    its antisymmetric mirror, which always matches (so a lone match is
+    trivial); for even n the rest of an alternating vector.
+    """
     row = pascal_row(n)
     cut = -(-n // 2)
-    by_sum: dict[int, list[tuple[int, ...]]] = {}
-    for hi in product((-1, 1), repeat=n + 1 - cut):
-        s = sum(d * w for d, w in zip(hi, row[cut:]))
-        by_sum.setdefault(s, []).append(hi)
+    width = n + 1 - cut
+    by_sum: dict[int, list[int]] = {}
+    for hi, s in enumerate(_signed_sums(row[cut:])):
+        if s in by_sum:
+            by_sum[s].append(hi)
+        else:
+            by_sum[s] = [hi]
     alt = _alternating(n)
     ends = {tuple(s * d for d in alt[:cut]): tuple(s * d for d in alt[cut:]) for s in (-1, 1)}
-    for lo in product((-1, 1), repeat=cut):
-        s = sum(d * w for d, w in zip(lo, row[:cut]))
-        trivial = tuple(-d for d in reversed(lo)) if n % 2 else ends.get(lo)
-        for hi in by_sum.get(-s, ()):
-            if hi != trivial:
-                yield SignVector(n, lo + hi)
+    for lo, s in enumerate(_signed_sums(row[:cut])):
+        matches = by_sum.get(-s)
+        if matches is None or (n % 2 and len(matches) == 1):
+            continue
+        prefix = _signs(lo, cut)
+        trivial = tuple(-d for d in reversed(prefix)) if n % 2 else ends.get(prefix)
+        for hi in matches:
+            suffix = _signs(hi, width)
+            if suffix != trivial:
+                yield SignVector(n, prefix + suffix)
 
 
 def bisection_from_solution(sv: SignVector) -> tuple[tuple[int, ...], tuple[int, ...]]:

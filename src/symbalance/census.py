@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
@@ -34,13 +34,41 @@ def count_symmetric(p: int, n: int) -> int:
 
 def count_balanced_all(p: int, n: int) -> int:
     """Balanced functions GF(p)^n -> GF(p), symmetric or not:
-    (p^n)! / ((p^(n-1))!)^p = prod_{k=1}^{p} C(k s, s) with s = p^(n-1)."""
+    (p^n)! / ((p^(n-1))!)^p with s = p^(n-1), as the product of q^e over
+    the primes q <= p s, e = v_q((p s)!) - p v_q(s!) by Legendre's formula,
+    multiplied pairwise so the big factors meet only at the top."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if n < 1:
         raise ValueError("balance needs n >= 1")
     share = p ** (n - 1)
-    return math.prod(math.comb(k * share, share) for k in range(1, p + 1))
+    factors = [q ** (_factorial_valuation(p * share, q) - p * _factorial_valuation(share, q))
+               for q in _primes_up_to(p * share)]
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0]
+
+
+def _primes_up_to(m: int) -> list[int]:
+    """Primes q <= m (m >= 1), by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (m + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(m) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, m + 1, q)))
+    return list(compress(range(m + 1), sieve))
+
+
+def _factorial_valuation(m: int, q: int) -> int:
+    """Exponent of the prime q in m!: the sum of floor(m / q^i), i >= 1."""
+    e = 0
+    while m:
+        m //= q
+        e += m
+    return e
 
 
 @dataclass(frozen=True)

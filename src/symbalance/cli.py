@@ -77,6 +77,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _limit(text: str) -> int:
+    """A --limit value: an int, refused while parsing when negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 @dataclass
 class CommandResult:
     command: str
@@ -304,7 +315,7 @@ def _build_parser() -> _Parser:
     np_.add_argument("n", type=int)
     np_.add_argument("--enumerate", action="store_true",
                      help="list nontrivial solutions instead of counting")
-    np_.add_argument("--limit", type=int, default=None,
+    np_.add_argument("--limit", type=_limit, default=None,
                      help="cap on listed solutions")
 
     cp = sub.add_parser("count", parents=[common],
@@ -321,7 +332,7 @@ def _build_parser() -> _Parser:
                         help="construct distinct balanced symmetric functions")
     gp.add_argument("p", type=int)
     gp.add_argument("n", type=int)
-    gp.add_argument("--limit", type=int, default=10,
+    gp.add_argument("--limit", type=_limit, default=10,
                     help="how many functions to emit (default 10)")
 
     c1 = sub.add_parser("scan-c1", parents=[common],

@@ -105,13 +105,6 @@ def enumerate_classes(p: int, n: int) -> list[MultisetClass]:
     return [MultisetClass(p, n, c) for c in _count_vectors(p, n)]
 
 
-def dominated(j: int, i: int) -> bool:
-    """True when every base-2 digit of j is at most the matching digit of i."""
-    if j < 0 or i < 0:
-        raise ValueError("arguments must be non-negative")
-    return j & i == j
-
-
 def balance_histogram(f: SymmetricFunction) -> tuple[int, ...]:
     """Exact input count per output value."""
     hist = [0] * f.p

@@ -32,7 +32,7 @@ def elem_weight_comb(d, n):
 def elem_weight_dominating(d, n):
     """Weight of X(d, n) as the sum of C(n, i) over the i whose binary
     digits dominate those of d, each C(n, i) from math.comb."""
-    return sum(math.comb(n, i) for i in range(d, n + 1) if i & d == d)
+    return sum(math.comb(n, i) for i in range(d, n + 1) if dominated(d, i))
 
 
 def domination_xor(bits):
@@ -104,6 +104,35 @@ def bisection_count_dp(n):
         shifted[c:] = table[: len(table) - c]
         table = table + shifted
     return int(table[1 << (n - 1)])
+
+
+def nontrivial_bisections_lex(n):
+    """Nontrivial sign vectors of row n with zero weighted sum, in lex
+    order (-1 before +1): the low prefix of ceil(n/2) signs runs through
+    itertools.product, and the high suffixes are grouped by their sum.  A
+    prefix's trivial suffix (its antisymmetric mirror for odd n, the rest
+    of an alternating vector for even n) is skipped."""
+    row = [math.comb(n, i) for i in range(n + 1)]
+    cut = -(-n // 2)
+    by_sum = {}
+    for hi in product((-1, 1), repeat=n + 1 - cut):
+        s = sum(d * w for d, w in zip(hi, row[cut:]))
+        by_sum.setdefault(s, []).append(hi)
+    alt = tuple((-1) ** i for i in range(n + 1))
+    ends = {tuple(s * d for d in alt[:cut]): tuple(s * d for d in alt[cut:]) for s in (-1, 1)}
+    for lo in product((-1, 1), repeat=cut):
+        s = sum(d * w for d, w in zip(lo, row[:cut]))
+        trivial = tuple(-d for d in reversed(lo)) if n % 2 else ends.get(lo)
+        for hi in by_sum.get(-s, ()):
+            if hi != trivial:
+                yield lo + hi
+
+
+def dominated(j, i):
+    """True when every base-2 digit of j is at most the matching digit of i."""
+    if j < 0 or i < 0:
+        raise ValueError("arguments must be non-negative")
+    return j & i == j
 
 
 def symmetric_classes(p, n):

@@ -1,9 +1,13 @@
+import functools
 import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from symbalance import bisection
 from symbalance.bisection import (
     SignVector,
     bisection_from_solution,
@@ -117,6 +121,40 @@ def test_witness_limit():
     report = find_all_solutions(13, enumerate_witnesses=True, witness_limit=5)
     assert len(report.witnesses) == 5
     assert find_all_solutions(13).witnesses is None
+
+
+@functools.cache
+def oracle_witnesses(n):
+    return list(oracles.nontrivial_bisections_lex(n))
+
+
+@pytest.mark.parametrize("n", range(33))
+def test_witnesses_match_the_product_oracle(n):
+    report = find_all_solutions(n, enumerate_witnesses=True)
+    assert [sv.delta for sv in report.witnesses] == oracle_witnesses(n)
+    assert len(report.witnesses) == report.nontrivial
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 32), st.integers(0, 40))
+def test_witness_limit_takes_the_oracle_prefix(n, limit):
+    witnesses = find_all_solutions(n, True, limit).witnesses
+    assert [sv.delta for sv in witnesses] == oracle_witnesses(n)[:limit]
+    for sv in witnesses:
+        assert signed_sum(sv) == 0
+        assert not is_trivial(sv)
+
+
+def test_negative_witness_limit_is_refused_before_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work started on a negative limit")
+
+    monkeypatch.setattr(bisection, "brute_count_balanced_symmetric", forbidden)
+    monkeypatch.setattr(bisection, "_nontrivial_in_lex_order", forbidden)
+    with pytest.raises(ValueError, match="witness_limit"):
+        find_all_solutions(8, enumerate_witnesses=True, witness_limit=-1)
+    with pytest.raises(ValueError, match="witness_limit"):
+        find_all_solutions(8, witness_limit=-1)
 
 
 def test_balanced_elementary_forms_give_solutions():

@@ -62,6 +62,13 @@ def test_count_balanced_all_formula():
         count_balanced_all(2, 0)
 
 
+@pytest.mark.parametrize("p, n", [(2, 14), (2, 16), (3, 9)])
+def test_count_balanced_all_matches_the_product_of_binomials(p, n):
+    share = p ** (n - 1)
+    expected = math.prod(math.comb(k * share, share) for k in range(1, p + 1))
+    assert count_balanced_all(p, n) == expected
+
+
 def test_count_balanced_all_matches_enumeration():
     assert count_balanced_all(2, 2) == oracles.count_balanced_all_enumerate(2, 2)
     assert count_balanced_all(3, 1) == oracles.count_balanced_all_enumerate(3, 1)

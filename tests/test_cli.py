@@ -297,6 +297,31 @@ def test_scans_reject_the_deleted_workers_flag(capsys, command):
     assert "unrecognized arguments: --workers 1" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["bisect", "8", "--enumerate", "--limit", "-1"],
+    ["generate", "3", "2", "--limit", "-2"],
+])
+def test_negative_limit_is_refused_while_parsing(monkeypatch, capsys, fmt, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a handler ran on a negative limit")
+
+    monkeypatch.setattr(cli, "find_all_solutions", forbidden)
+    monkeypatch.setattr(cli, "generate_balanced", forbidden)
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert (code, out) == (64, "")
+    assert err.endswith(f"symbalance {argv[0]}: error: argument --limit: "
+                        f"must be non-negative, not {argv[-1]}\n")
+    assert err.startswith(f"usage: symbalance {argv[0]} ")
+
+
+@pytest.mark.parametrize("command", [["bisect", "8", "--enumerate"], ["generate", "3", "2"]])
+def test_non_integer_limit_keeps_the_int_message(capsys, command):
+    code, _, err = run(capsys, command + ["--limit", "1.5"])
+    assert code == 64
+    assert err.endswith("error: argument --limit: invalid int value: '1.5'\n")
+
+
 def test_orbit_split_maps_to_usage(capsys):
     code, _, err = run(capsys, ["lower-bound", "2", "2"])
     assert code == 64
