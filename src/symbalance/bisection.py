@@ -121,27 +121,34 @@ def _nontrivial_in_lex_order(n: int):
 
     The low prefix of cut = ceil(n/2) signs and the high suffix are held as
     their indices in lex order, with every signed sum listed by doubling.
-    High indices are grouped by sum and the low indices run in order, so a
-    sign tuple is built only for a prefix that has a nontrivial match.
-    Each prefix has at most one trivial suffix, which is skipped: for odd n
-    its antisymmetric mirror, which always matches (so a lone match is
-    trivial); for even n the rest of an alternating vector.
+    Each high sum maps to its last index; nearly all sums are distinct, so
+    only the sums held at several indices get an ascending list of them.
+    The low indices run in order, and a sign tuple is built only for a
+    prefix that has a nontrivial match.  Each prefix has at most one
+    trivial suffix, which is skipped: for odd n its antisymmetric mirror,
+    which always matches (so a lone match is trivial); for even n the rest
+    of an alternating vector.
     """
     row = pascal_row(n)
     cut = -(-n // 2)
     width = n + 1 - cut
-    by_sum: dict[int, list[int]] = {}
-    for hi, s in enumerate(_signed_sums(row[cut:])):
-        if s in by_sum:
-            by_sum[s].append(hi)
-        else:
-            by_sum[s] = [hi]
+    high = _signed_sums(row[cut:])
+    last = dict(zip(high, range(len(high))))
+    repeated: dict[int, list[int]] = {}
+    if len(last) < len(high):
+        for hi, s in enumerate(high):
+            if last[s] != hi:
+                repeated.setdefault(s, []).append(hi)
+        for s, his in repeated.items():
+            his.append(last[s])
     alt = _alternating(n)
     ends = {tuple(s * d for d in alt[:cut]): tuple(s * d for d in alt[cut:]) for s in (-1, 1)}
     for lo, s in enumerate(_signed_sums(row[:cut])):
-        matches = by_sum.get(-s)
-        if matches is None or (n % 2 and len(matches) == 1):
-            continue
+        matches = repeated.get(-s)
+        if matches is None:
+            if n % 2 or -s not in last:
+                continue
+            matches = (last[-s],)
         prefix = _signs(lo, cut)
         trivial = tuple(-d for d in reversed(prefix)) if n % 2 else ends.get(prefix)
         for hi in matches:

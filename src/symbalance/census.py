@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
@@ -195,8 +195,11 @@ def generate_balanced(p: int, n: int, limit: Optional[int] = None) -> Iterator[S
     into p equal groups of classes and group g outputs value g.  Deterministic
     order; distinct splits differ on some class, so outputs never repeat.
 
-    Varying all splits reaches lower_bound_balanced(p, n) functions.
+    Varying all splits reaches lower_bound_balanced(p, n) functions.  A
+    negative limit raises ValueError on the first next(), before any work.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
     if not all_orbits_divisible(p, n):
         raise OrbitSplitError(
             f"p={p} divides n={n}: some orbit cannot be split into p groups")
@@ -213,12 +216,7 @@ def generate_balanced(p: int, n: int, limit: Optional[int] = None) -> Iterator[S
                     values[idx] = value
             yield from assign(which + 1)
 
-    count = 0
-    for fn in assign(0):
-        if limit is not None and count >= limit:
-            return
-        yield fn
-        count += 1
+    yield from islice(assign(0), limit)
 
 
 def brute_count_balanced_symmetric(p: int, n: int) -> int:

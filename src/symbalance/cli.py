@@ -15,8 +15,8 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .bisection import find_all_solutions
 from .census import (
@@ -90,33 +90,40 @@ def _limit(text: str) -> int:
 
 @dataclass
 class CommandResult:
+    """An answer as rows for JSON and CSV, and a function that builds its
+    text lines, called only when text is printed.  Each big integer is
+    turned into decimal once, and the lines reuse that string.  A lines
+    function keeps only what it prints, so the computed cells or witnesses
+    are freed before the output is written."""
+
     command: str
     parameters: dict
     columns: list
     rows: list
-    lines: list = field(default_factory=list)
+    lines: Callable[[], list]
     exit_code: int = EXIT_OK
 
 
 def _cmd_weight(args) -> CommandResult:
-    weight = weight_elem(args.d, args.n)
+    weight = str(weight_elem(args.d, args.n))
     return CommandResult(
         "weight", {"d": args.d, "n": args.n},
         ["d", "n", "weight"],
-        [{"d": args.d, "n": args.n, "weight": str(weight)}],
-        [f"wt(X({args.d},{args.n})) = {weight}"])
+        [{"d": args.d, "n": args.n, "weight": weight}],
+        lambda: [f"wt(X({args.d},{args.n})) = {weight}"])
 
 
 def _cmd_balanced(args) -> CommandResult:
     check_degree(args.d, args.n)
     weight, balanced = balance_in_row(args.d, pascal_row(args.n))
+    weight = str(weight)
     verdict = "true" if balanced else "false"
     return CommandResult(
         "balanced", {"d": args.d, "n": args.n},
         ["d", "n", "weight", "balanced"],
-        [{"d": args.d, "n": args.n, "weight": str(weight), "balanced": balanced}],
-        [f"X({args.d},{args.n}): weight {weight} of {1 << args.n} inputs; "
-         f"balanced: {verdict}"])
+        [{"d": args.d, "n": args.n, "weight": weight, "balanced": balanced}],
+        lambda: [f"X({args.d},{args.n}): weight {weight} of {1 << args.n} inputs; "
+                 f"balanced: {verdict}"])
 
 
 def _cmd_sac(args) -> CommandResult:
@@ -126,7 +133,7 @@ def _cmd_sac(args) -> CommandResult:
         "sac", {"d": args.d, "n": args.n},
         ["d", "n", "sac"],
         [{"d": args.d, "n": args.n, "sac": ok}],
-        [f"X({args.d},{args.n}) {verdict} the strict avalanche criterion"])
+        lambda: [f"X({args.d},{args.n}) {verdict} the strict avalanche criterion"])
 
 
 def _cmd_walsh(args) -> CommandResult:
@@ -135,9 +142,9 @@ def _cmd_walsh(args) -> CommandResult:
     spectrum = walsh_spectrum(elem_values(args.d, args.n))
     rows = [{"y": y, "value": str(value)}
             for y, value in enumerate(spectrum.by_weight)]
-    lines = [f"W[{y}] = {value}" for y, value in enumerate(spectrum.by_weight)]
     return CommandResult(
-        "walsh", {"d": args.d, "n": args.n}, ["y", "value"], rows, lines)
+        "walsh", {"d": args.d, "n": args.n}, ["y", "value"], rows,
+        lambda: [f"W[{row['y']}] = {row['value']}" for row in rows])
 
 
 def _cmd_bisect(args) -> CommandResult:
@@ -146,49 +153,52 @@ def _cmd_bisect(args) -> CommandResult:
                                     witness_limit=args.limit)
         rows = [{"index": i, "delta": "".join("+" if x > 0 else "-" for x in sv.delta)}
                 for i, sv in enumerate(report.witnesses)]
-        lines = [f"n={args.n}: {report.total} solutions "
-                 f"({report.trivial} trivial, {report.nontrivial} nontrivial)"]
-        lines += [row["delta"] for row in rows]
+        # The lines keep the counts, not the witnesses.
+        counts = report.total, report.trivial, report.nontrivial
         return CommandResult(
             "bisect", {"n": args.n, "limit": args.limit},
-            ["index", "delta"], rows, lines)
+            ["index", "delta"], rows,
+            lambda: [_bisect_summary(args.n, *counts)] + [row["delta"] for row in rows])
     report = find_all_solutions(args.n)
     return CommandResult(
         "bisect", {"n": args.n, "limit": None},
         ["n", "total", "trivial", "nontrivial"],
         [{"n": args.n, "total": str(report.total), "trivial": str(report.trivial),
           "nontrivial": str(report.nontrivial)}],
-        [f"n={args.n}: {report.total} solutions "
-         f"({report.trivial} trivial, {report.nontrivial} nontrivial)"])
+        lambda: [_bisect_summary(args.n, report.total, report.trivial, report.nontrivial)])
+
+
+def _bisect_summary(n: int, total: int, trivial: int, nontrivial: int) -> str:
+    return f"n={n}: {total} solutions ({trivial} trivial, {nontrivial} nontrivial)"
 
 
 def _cmd_count(args) -> CommandResult:
     if args.p ** args.n > COUNT_MAX_INPUTS:
         raise BudgetError(
             f"p^n={args.p ** args.n} exceeds the counting cap {COUNT_MAX_INPUTS}")
-    symmetric = count_symmetric(args.p, args.n)
+    symmetric = str(count_symmetric(args.p, args.n))
     # The census DP checks its budget first, so it runs before the costly
     # product of binomials.
-    among_symmetric = brute_count_balanced_symmetric(args.p, args.n)
-    over_all = count_balanced_all(args.p, args.n)
+    among_symmetric = str(brute_count_balanced_symmetric(args.p, args.n))
+    over_all = str(count_balanced_all(args.p, args.n))
     return CommandResult(
         "count", {"p": args.p, "n": args.n},
         ["p", "n", "symmetric", "balanced_all", "balanced_symmetric"],
-        [{"p": args.p, "n": args.n, "symmetric": str(symmetric),
-          "balanced_all": str(over_all),
-          "balanced_symmetric": str(among_symmetric)}],
-        [f"symmetric functions: {symmetric}",
-         f"balanced functions (all): {over_all}",
-         f"balanced symmetric functions: {among_symmetric}"])
+        [{"p": args.p, "n": args.n, "symmetric": symmetric,
+          "balanced_all": over_all, "balanced_symmetric": among_symmetric}],
+        lambda: [f"symmetric functions: {symmetric}",
+                 f"balanced functions (all): {over_all}",
+                 f"balanced symmetric functions: {among_symmetric}"])
 
 
 def _cmd_lower_bound(args) -> CommandResult:
-    bound = lower_bound_balanced(args.p, args.n)
+    bound = str(lower_bound_balanced(args.p, args.n))
     return CommandResult(
         "lower-bound", {"p": args.p, "n": args.n},
         ["p", "n", "bound"],
-        [{"p": args.p, "n": args.n, "bound": str(bound)}],
-        [f"at least {bound} balanced symmetric functions for p={args.p}, n={args.n}"])
+        [{"p": args.p, "n": args.n, "bound": bound}],
+        lambda: [f"at least {bound} balanced symmetric functions "
+                 f"for p={args.p}, n={args.n}"])
 
 
 def _cmd_generate(args) -> CommandResult:
@@ -200,10 +210,10 @@ def _cmd_generate(args) -> CommandResult:
     rows = []
     for index, fn in enumerate(generate_balanced(args.p, args.n, limit=args.limit)):
         rows.append({"index": index, "values": sep.join(map(str, fn.values))})
-    lines = [f"{row['index']}: {row['values']}" for row in rows]
     return CommandResult(
         "generate", {"p": args.p, "n": args.n, "limit": args.limit},
-        ["index", "values"], rows, lines)
+        ["index", "values"], rows,
+        lambda: [f"{row['index']}: {row['values']}" for row in rows])
 
 
 def _cmd_scan_c1(args) -> CommandResult:
@@ -211,10 +221,14 @@ def _cmd_scan_c1(args) -> CommandResult:
     bad = conjecture1_mismatches(cells)
     rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
              "balanced": c.balanced, "predicted": c.predicted} for c in cells]
-    lines = [f"mismatch at d={c.d}, n={c.n}: balanced={c.balanced}, "
-             f"predicted={c.predicted}" for c in bad]
-    lines.append(f"scanned {len(cells)} cells with 2 <= d <= n <= {args.n_max}; "
-                 f"mismatches: {len(bad)}")
+    scanned = len(cells)  # the lines keep the count, not the cells
+
+    def lines():
+        return [*(f"mismatch at d={c.d}, n={c.n}: balanced={c.balanced}, "
+                  f"predicted={c.predicted}" for c in bad),
+                f"scanned {scanned} cells with 2 <= d <= n <= {args.n_max}; "
+                f"mismatches: {len(bad)}"]
+
     return CommandResult(
         "scan-c1", {"n_max": args.n_max},
         ["d", "n", "weight", "balanced", "predicted"], rows, lines,
@@ -226,10 +240,14 @@ def _cmd_scan_c2(args) -> CommandResult:
     bad = conjecture2_violations(cells)
     rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
              "bound": str(c.bound), "below": c.below} for c in cells]
-    lines = [f"violation at d={c.d}, n={c.n}: weight {c.weight} reaches "
-             f"2^(n-2) = {c.bound}" for c in bad]
-    lines.append(f"scanned {len(cells)} cells with wt(d) >= 6, "
-                 f"2(d-1) <= n <= {args.n_max}; violations: {len(bad)}")
+    scanned = len(cells)  # the lines keep the count, not the cells
+
+    def lines():
+        return [*(f"violation at d={c.d}, n={c.n}: weight {c.weight} reaches "
+                  f"2^(n-2) = {c.bound}" for c in bad),
+                f"scanned {scanned} cells with wt(d) >= 6, "
+                f"2(d-1) <= n <= {args.n_max}; violations: {len(bad)}"]
+
     return CommandResult(
         "scan-c2", {"n_max": args.n_max},
         ["d", "n", "weight", "bound", "below"], rows, lines,
@@ -258,11 +276,11 @@ def _cmd_lacunary(args) -> CommandResult:
             raise InternalCheckError(
                 f"lacunary routes disagree at n={args.n}, i={i}: {exact} vs {trig}")
         rows.append({"i": i, "exact": str(exact), "trig": str(trig)})
-    lines = [f"sum of C({args.n},j) over j = {row['i']} (mod {modulus}): {row['exact']}"
-             for row in rows]
     return CommandResult(
         "lacunary", {"n": args.n, "power": args.power, "i": args.i},
-        ["i", "exact", "trig"], rows, lines)
+        ["i", "exact", "trig"], rows,
+        lambda: [f"sum of C({args.n},j) over j = {row['i']} (mod {modulus}): "
+                 f"{row['exact']}" for row in rows])
 
 
 _HANDLERS = {
@@ -360,7 +378,7 @@ _PARSER = _build_parser()
 
 def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
     if fmt == "text":
-        for line in result.lines:
+        for line in result.lines():
             print(line)
     elif fmt == "json":
         payload = {"command": result.command, "parameters": result.parameters,

@@ -25,7 +25,7 @@ from .exactnum import (
     PRECISION_BITS,
     compensated_sum,
     cospi_frac,
-    pascal_row,
+    pascal_rows,
     sign_sinpi,
     sinpi_frac,
 )
@@ -75,9 +75,8 @@ def scan_conjecture1(n_max: int) -> list[ScanCell]:
         raise ValueError("n_max must be at least 2")
     if n_max > C1_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C1_MAX_N}")
-    rows = ((n, pascal_row(n)) for n in range(2, n_max + 1))
     return [ScanCell(d, n, *balance_in_row(d, row), predicted_balanced(d, n))
-            for n, row in rows for d in range(2, n + 1)]
+            for n, row in pascal_rows(2, n_max) for d in range(2, n + 1)]
 
 
 def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:
@@ -89,9 +88,8 @@ def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C2_MAX_N}")
     degrees = [d for d in range(63, n_max // 2 + 2) if d.bit_count() >= 6]
     weights = {}
-    # Row by row, so each row is built once; 63 is the first degree.
-    for n in range(2 * (63 - 1), n_max + 1):
-        row = pascal_row(n)
+    # Row by row, each stepped from the last; 63 is the first degree.
+    for n, row in pascal_rows(2 * (63 - 1), n_max):
         weights.update(((d, n), weight_in_row(d, row)) for d in degrees if n >= 2 * (d - 1))
     return [BoundCell(d, n, w, 1 << (n - 2), w < 1 << (n - 2))
             for (d, n), w in sorted(weights.items())]

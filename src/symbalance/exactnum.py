@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 import mpmath
 from mpmath import libmp
@@ -39,6 +40,24 @@ def pascal_row(n: int) -> tuple[int, ...]:
         row.append(c)
     row.extend(reversed(row[:(n + 1) // 2]))
     return tuple(row)
+
+
+def pascal_rows(lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(n, pascal_row(n)) for lo <= n <= hi.  Row lo is built once; each
+    next half row (the entries k <= n/2) comes from the last by Pascal's
+    rule C(n, k) = C(n - 1, k - 1) + C(n - 1, k), one addition per entry,
+    and is mirrored as in pascal_row."""
+    if hi < lo:
+        return
+    row = pascal_row(lo)
+    yield lo, row
+    half = row[:lo // 2 + 1]
+    for n in range(lo + 1, hi + 1):
+        step = [1, *map(add, half, half[1:])]
+        if n % 2 == 0:  # C(n, n/2) = 2 C(n - 1, n/2 - 1)
+            step.append(2 * half[-1])
+        half = step
+        yield n, tuple(half + half[(n + 1) // 2 - 1::-1])
 
 
 def binom(n: int, k: int) -> int:

@@ -11,6 +11,9 @@ monomials are all-ones there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import perm
+from typing import Iterator
 
 from .errors import InternalCheckError
 from .exactnum import binom, is_prime, multinomial, pascal_row
@@ -60,7 +63,7 @@ class WeightFunction:
     def __post_init__(self):
         if len(self.v) != self.n + 1:
             raise ValueError("v must have n + 1 entries")
-        if any(b not in (0, 1) for b in self.v):
+        if not set(self.v) <= {0, 1}:
             raise ValueError("v entries must be bits")
 
     def to_symmetric(self) -> SymmetricFunction:
@@ -80,7 +83,7 @@ class AnfVector:
     def __post_init__(self):
         if len(self.lam) != self.n + 1:
             raise ValueError("lam must have n + 1 entries")
-        if any(b not in (0, 1) for b in self.lam):
+        if not set(self.lam) <= {0, 1}:
             raise ValueError("lam entries must be bits")
 
 
@@ -131,41 +134,82 @@ def check_degree(d: int, n: int) -> None:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
 
 
+def _parity_mask(d: int, n: int) -> bytes:
+    """C(j, d) mod 2 for 0 <= j <= n, one byte each.  By Kummer's theorem
+    it is 1 exactly when j >= d and adding d and m = j - d in base 2
+    carries nowhere, that is m & d == 0.  That test reads only m mod 2^r
+    (r = d.bit_length()), so one period is built bit by bit, doubling it
+    with a copy of itself, or with zeros where d has a one, and then
+    repeated."""
+    period = b"\1"
+    for t in range(d.bit_length()):
+        period += bytes(len(period)) if d >> t & 1 else period
+    tail = n - d + 1
+    return bytes(d) + (period * -(-tail // len(period)))[:tail]
+
+
 def elem_values(d: int, n: int) -> WeightFunction:
     """Weight-value vector of the degree-d elementary symmetric form:
-    v(j) = C(j, d) mod 2, which by Kummer's theorem is 1 exactly when
-    adding d and j - d in base 2 carries nowhere."""
+    v(j) = C(j, d) mod 2 (see _parity_mask)."""
     check_degree(d, n)
-    return WeightFunction(n, (0,) * d + tuple(int(not m & d) for m in range(n - d + 1)))
+    return WeightFunction(n, tuple(_parity_mask(d, n)))
+
+
+def _dominating(d: int, n: int) -> Iterator[int]:
+    """The i <= n whose binary digits dominate those of d, ascending: the
+    walk visits only those i, stepping from one to the next with
+    i = (i + 1) | d."""
+    i = d
+    while i <= n:
+        yield i
+        i = (i + 1) | d
 
 
 def weight_in_row(d: int, row: tuple[int, ...]) -> int:
-    """Sum of row[i] over the i that dominate d: wt(X(d, n)) for row = pascal_row(n).
-    The walk visits only those i, stepping from one to the next with
-    i = (i + 1) | d."""
-    total = 0
-    i = d
-    while i < len(row):
-        total += row[i]
-        i = (i + 1) | d
-    return total
+    """Sum of row[i] over the i that dominate d: wt(X(d, n)) for row = pascal_row(n)."""
+    return sum(map(row.__getitem__, _dominating(d, len(row) - 1)))
 
 
 def weight_elem(d: int, n: int) -> int:
     """Hamming weight of the degree-d elementary symmetric form on n bits:
-    the sum of C(n, i) over i whose binary digits dominate those of d."""
+    the sum of C(n, i) over i whose binary digits dominate those of d.
+
+    No row is built.  Each index above n/2 folds onto n - i (C(n, i) =
+    C(n, n - i)), the ascending run below the middle and the mirrored run
+    are merged by one sort (duplicates kept), and C(n, k) is stepped from
+    one index k to the next j: c (n - k) / j for a gap of 1,
+    c perm(n - k, g) / perm(j, g) for a gap of g.  Besides the indices
+    only two big ints are held, O(n) bits."""
     check_degree(d, n)
-    return weight_in_row(d, pascal_row(n))
+    half = n // 2
+    total = 0
+    c = 1
+    k = 0
+    for j in sorted([n - i if i > half else i for i in _dominating(d, n)]):
+        g = j - k
+        if g == 1:
+            c = c * (n - k) // j
+        elif g:
+            c = c * perm(n - k, g) // perm(j, g)
+        k = j
+        total += c
+    return total
+
+
+# Swaps the bytes 0 and 1 of a parity mask.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def balance_in_row(d: int, row: tuple[int, ...]) -> tuple[int, bool]:
     """Weight and balance of X(d, n) for row = pascal_row(n), the balance
     decided by two routes that must agree: weight = 2^(n-1), and the signed
-    sum over weights sum_j C(n, j) (-1)^(C(j, d)) = 0."""
+    sum over weights sum_j C(n, j) (-1)^(C(j, d)) = 0, which reads every
+    entry of the row."""
     n = len(row) - 1
-    v = elem_values(d, n).v
+    check_degree(d, n)
+    odd = _parity_mask(d, n)
     w = weight_in_row(d, row)
-    signed = sum(c * (1 - 2 * b) for c, b in zip(row, v))
+    signed = sum(compress(row, odd.translate(_FLIP))) - sum(compress(row, odd))
     by_weight = w == 1 << (n - 1)
     by_sign = signed == 0
     if by_weight != by_sign or signed != (1 << n) - 2 * w:

@@ -204,6 +204,12 @@ def test_generate_balanced_limit_and_laziness():
     assert [f.values for f in islice(stream, 4)] == [f.values for f in first]
 
 
+def test_generate_balanced_refuses_a_negative_limit():
+    with pytest.raises(ValueError, match="non-negative"):
+        next(generate_balanced(3, 2, limit=-2))
+    assert list(generate_balanced(3, 2, limit=0)) == []
+
+
 def test_generate_balanced_rejects_split_failure():
     with pytest.raises(OrbitSplitError):
         next(generate_balanced(2, 4))

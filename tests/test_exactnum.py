@@ -23,6 +23,7 @@ from symbalance.exactnum import (
     lacunary_trig_sums,
     multinomial,
     pascal_row,
+    pascal_rows,
     round_real,
     sign_sinpi,
     sinpi_frac,
@@ -49,6 +50,17 @@ def test_pascal_row_mirrors_its_first_half():
     for n in (1, 2, 7, 8, 4096, 4097):
         row = pascal_row(n)
         assert all(row[k] is row[n - k] for k in range(n + 1))
+
+
+def test_pascal_rows_step_to_the_rows_pascal_row_builds():
+    for lo in range(13):
+        stepped = list(pascal_rows(lo, 300))
+        assert [n for n, _ in stepped] == list(range(lo, 301))
+        assert all(row == pascal_row(n) for n, row in stepped)
+    stepped = list(pascal_rows(4090, 4100))
+    assert [n for n, _ in stepped] == list(range(4090, 4101))
+    assert all(row == pascal_row(n) for n, row in stepped)
+    assert list(pascal_rows(9, 8)) == []
 
 
 def test_binom_outside_range_is_zero():

@@ -2,9 +2,12 @@
 reads once, and no call keeps rows or class lists after it returns."""
 
 import importlib
+import math
 import pkgutil
 import tracemalloc
 from collections import Counter
+
+import pytest
 
 import symbalance
 import symbalance.cli as cli
@@ -13,6 +16,7 @@ import symbalance.exactnum as exactnum
 import symbalance.symfun as symfun
 from symbalance.cli import main
 from symbalance.conjectures import scan_conjecture1, scan_conjecture2
+from symbalance.errors import InternalCheckError
 from symbalance.symfun import enumerate_classes, is_balanced_elem, weight_elem
 
 
@@ -42,6 +46,29 @@ def test_row_queries_keep_no_memory():
     assert held < 1 << 20
 
 
+def test_weight_elem_holds_no_row():
+    # row 60000 alone holds about 175 MB; the walk holds a few big ints
+    tracemalloc.start()
+    try:
+        weight_elem(1, 60000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_signed_balance_route_reads_the_whole_row():
+    # C(j, d) is even at j, so j does not dominate d and the weight route
+    # never reads row[j]: only the signed sum can see the change.
+    d, n, j = 4, 4095, 4091
+    row = list(exactnum.pascal_row(n))
+    assert math.comb(j, d) % 2 == 0
+    assert symfun.balance_in_row(d, tuple(row)) == (1 << (n - 1), True)
+    row[j] += 2
+    with pytest.raises(InternalCheckError, match="d=4, n=4095"):
+        symfun.balance_in_row(d, tuple(row))
+
+
 def test_class_enumeration_keeps_no_memory():
     tracemalloc.start()
     try:
@@ -66,16 +93,34 @@ def test_package_holds_no_cache():
     assert cached == set()
 
 
+def _count_stepped_rows(monkeypatch):
+    """Counts the rows the scans take from pascal_rows, and every
+    pascal_row call made anywhere in the package."""
+    built = _count_rows(monkeypatch, exactnum, symfun)
+    yielded = Counter()
+    original = exactnum.pascal_rows
+
+    def counting(lo, hi):
+        for n, row in original(lo, hi):
+            yielded[n] += 1
+            yield n, row
+
+    monkeypatch.setattr(conjectures, "pascal_rows", counting)
+    return built, yielded
+
+
 def test_scan_conjecture1_builds_each_row_once(monkeypatch):
-    built = _count_rows(monkeypatch, conjectures, symfun)
+    built, yielded = _count_stepped_rows(monkeypatch)
     scan_conjecture1(64)
-    assert built == Counter(range(2, 65))
+    assert yielded == Counter(range(2, 65))
+    assert built == Counter([2])
 
 
 def test_scan_conjecture2_builds_each_row_once(monkeypatch):
-    built = _count_rows(monkeypatch, conjectures)
+    built, yielded = _count_stepped_rows(monkeypatch)
     scan_conjecture2(512)
-    assert built == Counter(range(124, 513))
+    assert yielded == Counter(range(124, 513))
+    assert built == Counter([124])
 
 
 def test_all_residue_lacunary_builds_its_row_once(monkeypatch, capsys):

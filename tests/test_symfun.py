@@ -117,6 +117,25 @@ def test_weight_and_balance_on_rows_near_4096(n):
         assert is_balanced_elem(d, n) == (weight == 1 << (n - 1))
 
 
+def test_weight_elem_matches_the_dominance_oracle_up_to_200():
+    for n in range(1, 201):
+        for d in range(1, n + 1):
+            assert weight_elem(d, n) == oracles.elem_weight_dominating(d, n)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 4600])
+def test_weight_elem_matches_comb_on_dense_and_sparse_degrees(n):
+    # every C(n, i) once from math.comb, summed over the i dominating d
+    row = [math.comb(n, i) for i in range(n + 1)]
+    rng = random.Random(n)
+    bits = n.bit_length()
+    degrees = {1 << t for t in range(bits)} | {(1 << t) - 1 for t in range(1, bits)}
+    degrees |= {sum(1 << b for b in rng.sample(range(bits - 1), k)) for k in range(1, 9)}
+    for d in sorted(d for d in degrees if d <= n):
+        expected = sum(c for i, c in enumerate(row) if oracles.dominated(d, i))
+        assert weight_elem(d, n) == expected, d
+
+
 def test_balanced_elem_dual_routes_agree():
     for n in range(1, 31):
         for d in range(1, n + 1):
