@@ -48,12 +48,11 @@ from .errors import BudgetError, InternalCheckError, OrbitSplitError
 from .exactnum import (
     PRECISION_BITS,
     binom,
-    binom_mod_p,
     compensated_sum,
     exact_div,
     is_prime,
-    lacunary_exact,
-    lacunary_trig,
+    lacunary_sums,
+    lacunary_trig_sums,
     multinomial,
     round_real,
 )
@@ -63,7 +62,6 @@ from .spectral import (
     check_half_sums,
     half_square_sums,
     is_sac_elem,
-    krawtchouk,
     walsh_spectrum,
     walsh_symmetric,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "anf_from_values",
     "balance_histogram",
     "binom",
-    "binom_mod_p",
     "bisection_from_solution",
     "brute_count_balanced_symmetric",
     "check_antisymmetry",
@@ -128,9 +125,8 @@ __all__ = [
     "is_prime",
     "is_sac_elem",
     "is_trivial",
-    "krawtchouk",
-    "lacunary_exact",
-    "lacunary_trig",
+    "lacunary_sums",
+    "lacunary_trig_sums",
     "lower_bound_balanced",
     "multinomial",
     "mvector_of",

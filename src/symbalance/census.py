@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, groupby, islice
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
-from .exactnum import binom, exact_div, is_prime
+from .exactnum import binom, exact_div, is_prime, multinomial
 from .symfun import MultisetClass, SymmetricFunction, enumerate_classes
 
 BRUTE_MAX_BITS = 96
@@ -42,8 +42,13 @@ def count_balanced_all(p: int, n: int) -> int:
     if n < 1:
         raise ValueError("balance needs n >= 1")
     share = p ** (n - 1)
-    factors = [q ** (_factorial_valuation(p * share, q) - p * _factorial_valuation(share, q))
-               for q in _primes_up_to(p * share)]
+    return _product([q ** (_factorial_valuation(p * share, q) - p * _factorial_valuation(share, q))
+                     for q in _primes_up_to(p * share)])
+
+
+def _product(factors: list[int]) -> int:
+    """Product of a non-empty list, multiplied pairwise so the big factors
+    meet only at the top."""
     while len(factors) > 1:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
         if len(factors) % 2:
@@ -99,8 +104,7 @@ def mvector_of(cls: MultisetClass) -> MVector:
 
 def orbit_size(mv: MVector) -> int:
     """Number of classes sharing this count multiset: p! / prod m_l!."""
-    denom = math.prod(math.factorial(q) for q in mv.m)
-    return exact_div(math.factorial(mv.p), denom)
+    return multinomial(mv.p, mv.m)
 
 
 def check_divisibility(mv: MVector) -> bool:
@@ -108,29 +112,51 @@ def check_divisibility(mv: MVector) -> bool:
     return orbit_size(mv) % mv.p == 0
 
 
-def enumerate_mvectors(p: int, n: int) -> list[MVector]:
-    """All multiplicity vectors with sum p and weighted sum n, by DFS with
-    both constraints pruned incrementally; sorted for determinism."""
+def _partitions(n: int, p: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into at most p positive parts, as non-increasing
+    tuples in descending lexicographic order: one per orbit, the nonzero
+    symbol counts of its classes.  Each next partition lowers the last part
+    that can drop by one while the parts after it, none larger, still fit
+    in the slots left; those parts are then refilled greedily."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if n < 0:
         raise ValueError("n must be non-negative")
-    found: list[tuple[int, ...]] = []
-    m = [0] * (n + 1)
-
-    def descend(l: int, count_left: int, weight_left: int) -> None:
-        if l == 0:
-            if weight_left == 0:
-                m[0] = count_left
-                found.append(tuple(m))
-                m[0] = 0
+    parts: list[int] = []
+    rest = n
+    while True:
+        while rest:
+            q = min(rest, parts[-1]) if parts else rest
+            parts.append(q)
+            rest -= q
+        yield tuple(parts)
+        while parts:
+            q = parts.pop()
+            rest += q
+            if q > 1 and rest - q + 1 <= (p - len(parts) - 1) * (q - 1):
+                parts.append(q - 1)
+                rest -= q - 1
+                break
+        else:
             return
-        for q in range(min(count_left, weight_left // l) + 1):
-            m[l] = q
-            descend(l - 1, count_left - q, weight_left - q * l)
-        m[l] = 0
 
-    descend(n, p, n)
+
+def _multiplicities(parts: tuple[int, ...], p: int) -> list[int]:
+    """How many symbols share each count of a partition's orbit: the
+    p - len(parts) absent symbols, then one entry per distinct part."""
+    return [p - len(parts), *(len(list(run)) for _, run in groupby(parts))]
+
+
+def enumerate_mvectors(p: int, n: int) -> list[MVector]:
+    """All multiplicity vectors with sum p and weighted sum n, one per
+    partition of n into at most p parts; sorted for determinism."""
+    found = []
+    for parts in _partitions(n, p):
+        m = [0] * (n + 1)
+        m[0] = p - len(parts)
+        for q in parts:
+            m[q] += 1
+        found.append(tuple(m))
     return [MVector(p, n, t) for t in sorted(found)]
 
 
@@ -138,7 +164,7 @@ def all_orbits_divisible(p: int, n: int) -> bool:
     """Whether every orbit splits into p equal groups.  Decided two ways
     that must agree: gcd(n, p) = 1, and no multiplicity reaching p."""
     by_gcd = math.gcd(n, p) == 1
-    by_scan = all(max(mv.m) < p for mv in enumerate_mvectors(p, n))
+    by_scan = all(max(_multiplicities(parts, p)) < p for parts in _partitions(n, p))
     if by_gcd != by_scan:
         raise InternalCheckError(f"orbit split criteria disagree at p={p}, n={n}")
     return by_gcd
@@ -155,12 +181,12 @@ def lower_bound_balanced(p: int, n: int) -> int:
     if not all_orbits_divisible(p, n):
         raise OrbitSplitError(
             f"p={p} divides n={n}: some orbit cannot be split into p groups")
-    out = 1
-    for mv in enumerate_mvectors(p, n):
-        size = orbit_size(mv)
+    factors = []
+    for parts in _partitions(n, p):
+        size = multinomial(p, _multiplicities(parts, p))
         part = exact_div(size, p)
-        out *= exact_div(math.factorial(size), math.factorial(part) ** p)
-    return out
+        factors.append(exact_div(math.factorial(size), math.factorial(part) ** p))
+    return _product(factors)
 
 
 def _orbits(p: int, n: int) -> list[list[int]]:
@@ -206,17 +232,30 @@ def generate_balanced(p: int, n: int, limit: Optional[int] = None) -> Iterator[S
     orbits = _orbits(p, n)
     values = [0] * binom(p + n - 1, n)
 
-    def assign(which: int) -> Iterator[SymmetricFunction]:
-        if which == len(orbits):
-            yield SymmetricFunction(p, n, tuple(values))
-            return
-        for split in _equal_partitions(orbits[which], p):
-            for value, group in enumerate(split):
-                for idx in group:
-                    values[idx] = value
-            yield from assign(which + 1)
+    def assign(split: tuple[tuple[int, ...], ...]) -> None:
+        for value, group in enumerate(split):
+            for idx in group:
+                values[idx] = value
 
-    yield from islice(assign(0), limit)
+    def walk() -> Iterator[SymmetricFunction]:
+        # An odometer over the orbits' split iterators, last orbit fastest:
+        # an exhausted orbit restarts at its first split and carries.
+        splits = [_equal_partitions(orbit, p) for orbit in orbits]
+        for it in splits:
+            assign(next(it))
+        while True:
+            yield SymmetricFunction(p, n, tuple(values))
+            for k in reversed(range(len(orbits))):
+                split = next(splits[k], None)
+                if split is not None:
+                    assign(split)
+                    break
+                splits[k] = _equal_partitions(orbits[k], p)
+                assign(next(splits[k]))
+            else:
+                return
+
+    yield from islice(walk(), limit)
 
 
 def brute_count_balanced_symmetric(p: int, n: int) -> int:

@@ -35,15 +35,7 @@ from .conjectures import (
     scan_conjecture2,
 )
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
-from .exactnum import (
-    binom,
-    lacunary_exact,
-    lacunary_sums,
-    lacunary_trig,
-    lacunary_trig_sums,
-    pascal_row,
-    round_real,
-)
+from .exactnum import binom, lacunary_sums, lacunary_trig_sums, pascal_row
 from .spectral import is_sac_elem, walsh_spectrum
 from .symfun import balance_in_row, check_degree, elem_values, weight_elem
 
@@ -66,15 +58,6 @@ LACUNARY_MAX_POWER = 12
 # 2n + 2 power + 32 bits.  At the cap (exactly lacunary 2358 10, 569 11 or
 # 121 12) a call took 0.9-2.4 s on a shared 2-core Xeon with CPython 3.11.
 LACUNARY_ALL_MAX_WORK = 149 << 24
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 64."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _limit(text: str) -> int:
@@ -265,13 +248,12 @@ def _cmd_lacunary(args) -> CommandResult:
         if work > LACUNARY_ALL_MAX_WORK:
             raise BudgetError(f"all residues of n={args.n} mod {modulus} need work "
                               f"{work}, over the cap {LACUNARY_ALL_MAX_WORK}")
-        routes = enumerate(zip(lacunary_sums(args.n, args.power),
-                               lacunary_trig_sums(args.n, args.power)))
+        residues = range(modulus)
     else:
-        exact = lacunary_exact(args.n, args.power, args.i)
-        routes = [(args.i, (exact, round_real(lacunary_trig(args.n, args.power, args.i))))]
+        residues = (args.i,)
     rows = []
-    for i, (exact, trig) in routes:
+    for i, exact, trig in zip(residues, lacunary_sums(args.n, args.power, residues),
+                              lacunary_trig_sums(args.n, args.power, residues)):
         if exact != trig:
             raise InternalCheckError(
                 f"lacunary routes disagree at n={args.n}, i={i}: {exact} vs {trig}")
@@ -298,11 +280,11 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="symbalance",
         description="Exact balance, weight, and spectrum computations for "
                     "symmetric functions over prime fields.")
@@ -397,8 +379,8 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as stop:
-        return stop.code if isinstance(stop.code, int) else EXIT_USAGE
+    except SystemExit as stop:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if stop.code else EXIT_OK
     # Exact answers run to 20k digits, past Python's int/str digit limit
     # (3.10.7 and later), so it is lifted while one is computed and printed.
     if not hasattr(sys, "set_int_max_str_digits"):

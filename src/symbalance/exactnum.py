@@ -107,44 +107,25 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p for prime p, digit by digit in base p."""
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be non-negative")
-    if k > n:
-        return 0
-    out = 1
-    while n or k:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        out = out * binom(nd, kd) % p
-        if out == 0:
-            return 0
-    return out
-
-
-def _validate_lacunary(n: int, power: int, i: int) -> None:
+def _lacunary_residues(n: int, power: int, residues: Iterable[int]) -> tuple[int, ...]:
+    """The residues as a tuple, each checked against the modulus 2^power."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if power < 1:
         raise ValueError("power must be at least 1")
-    if not 0 <= i < 1 << power:
-        raise ValueError(f"residue {i} out of range for modulus 2^{power}")
+    residues = tuple(residues)
+    for i in residues:
+        if not 0 <= i < 1 << power:
+            raise ValueError(f"residue {i} out of range for modulus 2^{power}")
+    return residues
 
 
-def lacunary_exact(n: int, power: int, i: int) -> int:
-    """Sum of C(n, j) over 0 <= j <= n with j = i (mod 2^power)."""
-    _validate_lacunary(n, power, i)
-    return sum(pascal_row(n)[i::1 << power])
-
-
-def lacunary_sums(n: int, power: int) -> tuple[int, ...]:
-    """lacunary_exact(n, power, i) for every residue i, from one row."""
-    _validate_lacunary(n, power, 0)
+def lacunary_sums(n: int, power: int, residues: Iterable[int]) -> tuple[int, ...]:
+    """For each residue i, the sum of C(n, j) over 0 <= j <= n with
+    j = i (mod 2^power), sliced from one row."""
+    residues = _lacunary_residues(n, power, residues)
     row = pascal_row(n)
-    return tuple(sum(row[i::1 << power]) for i in range(1 << power))
+    return tuple(sum(row[i::1 << power]) for i in residues)
 
 
 def cospi_frac(q: Fraction) -> mpmath.mpf:
@@ -209,7 +190,8 @@ def _lacunary_error_bound(n: int, power: int) -> Fraction:
 
 
 def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, list[int]]:
-    """The closed form of lacunary_trig for each residue i, as (Q, [A_i 2^Q]).
+    """The closed form of lacunary_trig_sums for each residue i, as
+    (Q, [A_i 2^Q]).
 
     With M = 2^power, b_j = 2 cos(j pi / M) and u = 2^-P (P from
     _lacunary_precision), everything is a plain int scaled by 2^P:
@@ -293,24 +275,15 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
     return scale, out
 
 
-def lacunary_trig(n: int, power: int, i: int) -> mpmath.mpf:
-    """Closed trigonometric form of lacunary_exact (valid for n >= 1):
+def lacunary_trig_sums(n: int, power: int, residues: Iterable[int]) -> tuple[int, ...]:
+    """lacunary_sums by its closed trigonometric form (valid for n >= 1):
 
         2^(n-p) + 2^(1-p) * sum_{j=1}^{2^(p-1)-1}
                   (2 cos(j pi / 2^p))^n cos(j (n - 2i) pi / 2^p)
 
-    evaluated by _lacunary_fixed and returned exactly as an mpf.  It is
-    certified to lie within 2^(-p-29) of the exact sum, so round_real
-    recovers it.
-    """
-    _validate_lacunary(n, power, i)
-    scale, (value,) = _lacunary_fixed(n, power, [i])
-    return mpmath.mp.make_mpf(libmp.from_man_exp(value, -scale))
-
-
-def lacunary_trig_sums(n: int, power: int) -> tuple[int, ...]:
-    """The certified rounding of lacunary_trig(n, power, i) for every
-    residue i, from one cosine table and one set of n-th powers."""
-    _validate_lacunary(n, power, 0)
-    scale, values = _lacunary_fixed(n, power, range(1 << power))
+    evaluated by _lacunary_fixed from one cosine table and one set of n-th
+    powers, and rounded only where certified to lie within 2^(-p-29) of
+    an integer."""
+    residues = _lacunary_residues(n, power, residues)
+    scale, values = _lacunary_fixed(n, power, residues)
     return tuple((v + (1 << (scale - 1))) >> scale for v in values)

@@ -8,8 +8,8 @@ multiplies that polynomial by (1 - z)/(1 + z), so each column of values
 follows from the last by n + 1 integer additions, starting from row n of
 Pascal's triangle at y = 0.  A whole spectrum costs O(n^2) additions.
 Everything in this module is exact integer arithmetic on the n + 1 weight
-classes; the all-mask brute-force evaluators it is tested against live in
-tests/oracles.py.
+classes; the one-value Krawtchouk sum and the all-mask brute-force
+evaluators it is tested against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from operator import mul
 
 from .exactnum import binom, pascal_row
 from .symfun import WeightFunction, elem_values, is_balanced_elem
-
-
-def krawtchouk(k: int, y: int, n: int) -> int:
-    """P_k(y, n) = sum_j (-1)^j C(y, j) C(n-y, k-j), exactly, one value at
-    a time (walsh_spectrum builds whole columns by recurrence)."""
-    if not (0 <= k <= n and 0 <= y <= n):
-        raise ValueError("need 0 <= k, y <= n")
-    return sum((-1) ** j * binom(y, j) * binom(n - y, k - j) for j in range(k + 1))
 
 
 def walsh_symmetric(wf: WeightFunction, y: int) -> int:

@@ -177,3 +177,28 @@ def lacunary_sum_direct(n, power, i):
     """Sum of C(n, j) over j congruent to i mod 2^power."""
     step = 1 << power
     return sum(math.comb(n, j) for j in range(i, n + 1, step))
+
+
+def krawtchouk(k, y, n):
+    """P_k(y, n) = sum_j (-1)^j C(y, j) C(n-y, k-j), one value at a time."""
+    return sum((-1) ** j * math.comb(y, j) * math.comb(n - y, k - j) for j in range(k + 1))
+
+
+def binom_mod_p(n, k, p):
+    """C(n, k) mod a prime p by Lucas' theorem, one base-p digit at a time."""
+    out = 1
+    while n or k:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        out = out * math.comb(nd, kd) % p
+    return out
+
+
+def multiplicity_vectors(p, n):
+    """The multiplicity vectors (m[l] = how many symbols appear exactly l
+    times) of the classes of symmetric_classes(p, n), each once, sorted."""
+    found = set()
+    for combo, _ in symmetric_classes(p, n):
+        counts = Counter(combo)
+        found.add(tuple(sum(1 for s in range(p) if counts[s] == l) for l in range(n + 1)))
+    return sorted(found)

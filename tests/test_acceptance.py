@@ -26,8 +26,8 @@ from symbalance import (
     enumerate_mvectors,
     find_all_solutions,
     is_sac_elem,
-    lacunary_exact,
-    lacunary_trig,
+    lacunary_sums,
+    lacunary_trig_sums,
     lower_bound_balanced,
     orbit_size,
     round_real,
@@ -159,9 +159,10 @@ def test_criterion_7_lacunary_round_trip():
     ok = True
     for n in range(1, 41):
         for power in range(1, 6):
-            for i in range(1 << power):
-                ok &= (round_real(lacunary_trig(n, power, i))
-                       == lacunary_exact(n, power, i))
+            residues = range(1 << power)
+            ok &= lacunary_trig_sums(n, power, residues) == lacunary_sums(n, power, residues)
+            for i in residues:
+                ok &= lacunary_trig_sums(n, power, [i]) == lacunary_sums(n, power, [i])
     report("criterion 7: lacunary binomial sums round-trip exactly for "
            "n <= 40, moduli 2..32, all residues", bool(ok))
 

@@ -5,8 +5,11 @@ from itertools import islice, product
 import pytest
 
 import oracles
+from symbalance.bisection import count_trivial
 from symbalance.census import (
     MVector,
+    _equal_partitions,
+    _orbits,
     all_orbits_divisible,
     brute_count_balanced_symmetric,
     check_divisibility,
@@ -125,6 +128,35 @@ def test_enumerate_mvectors_matches_filter():
             assert found == expected
 
 
+def test_enumerate_mvectors_equals_the_grouped_classes_in_order():
+    # One vector per orbit, in the same sorted order as the oracle's vectors
+    # read off every class.
+    for p, n_max in ((2, 16), (3, 12), (5, 8), (7, 6), (11, 5), (13, 5)):
+        for n in range(n_max + 1):
+            found = enumerate_mvectors(p, n)
+            assert [mv.m for mv in found] == oracles.multiplicity_vectors(p, n)
+            assert all((mv.p, mv.n) == (p, n) for mv in found)
+
+
+def test_census_orbits_reach_large_n():
+    # One partition per orbit, with no walk as deep as n.
+    assert len(enumerate_mvectors(2, 1001)) == 501
+    assert all_orbits_divisible(2, 4095)
+    assert not all_orbits_divisible(3, 1002)
+
+
+def test_census_orbits_refuse_a_bad_p_or_n():
+    for p, n in ((4, 3), (1, 2), (2, -1), (3, -5)):
+        with pytest.raises(ValueError):
+            enumerate_mvectors(p, n)
+        with pytest.raises(ValueError):
+            all_orbits_divisible(p, n)
+        with pytest.raises(ValueError):
+            lower_bound_balanced(p, n)
+        with pytest.raises(ValueError):
+            next(generate_balanced(p, n))
+
+
 def test_mvector_of_partitions_classes():
     # every class maps to one multiplicity vector; class counts per vector
     # equal the orbit size, and sizes add up over the whole census
@@ -165,6 +197,13 @@ def test_lower_bound_values():
     assert lower_bound_balanced(3, 4) == 19440
     assert lower_bound_balanced(2, 1) == 2
     assert lower_bound_balanced(3, 1) == 6
+
+
+def test_lower_bound_for_p_2_is_the_trivial_bisection_count():
+    # The (n + 1)/2 orbits of p = 2 are pairs of classes, and splitting
+    # each one is a choice of sign per pair of mirrored weight classes.
+    for n in [*range(1, 302, 2), 995, 4095]:
+        assert lower_bound_balanced(2, n) == count_trivial(n)
 
 
 def test_lower_bound_requires_coprime():
@@ -213,6 +252,21 @@ def test_generate_balanced_refuses_a_negative_limit():
 def test_generate_balanced_rejects_split_failure():
     with pytest.raises(OrbitSplitError):
         next(generate_balanced(2, 4))
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (2, 5), (2, 7), (3, 2), (3, 4), (5, 2), (7, 1)])
+def test_generate_balanced_walks_every_split_with_the_last_orbit_fastest(p, n):
+    # itertools.product over each orbit's listed splits is the same odometer.
+    orbits = _orbits(p, n)
+    expected = []
+    for splits in islice(product(*(list(_equal_partitions(o, p)) for o in orbits)), 5000):
+        values = [0] * binom(p + n - 1, n)
+        for split in splits:
+            for value, group in enumerate(split):
+                for idx in group:
+                    values[idx] = value
+        expected.append(tuple(values))
+    assert [f.values for f in generate_balanced(p, n, limit=5000)] == expected
 
 
 def test_generated_functions_are_deterministic():

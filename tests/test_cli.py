@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -188,6 +189,63 @@ def test_generate_respects_limit(capsys):
     assert len(json.loads(out)["results"]) == 3
 
 
+@pytest.mark.parametrize("n", [995, 4095])
+def test_lower_bound_at_large_odd_n(capsys, n):
+    # The census orbits are partitions of n, so no walk is as deep as n.
+    code, out, err = run(capsys, ["lower-bound", "2", str(n), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"] == [{"p": 2, "n": n, "bound": str(1 << (n + 1) // 2)}]
+
+
+def _classes_in_cli_order(p, n):
+    """(count vector, size) of every class, ascending on count vectors as
+    generate prints them, read off oracles.symmetric_classes."""
+    return sorted((tuple(combo.count(s) for s in range(p)), size)
+                  for combo, size in oracles.symmetric_classes(p, n))
+
+
+def _check_generated(p, n, rows):
+    """Each row is a distinct function that splits every orbit (the classes
+    sharing sorted counts) into p equal groups, hence balanced."""
+    classes = _classes_in_cli_order(p, n)
+    functions = [tuple(map(int, row.split(",") if p > 10 else row)) for row in rows]
+    assert len(set(functions)) == len(functions)
+    for values in functions:
+        assert len(values) == len(classes)
+        orbits = {}
+        for (counts, size), value in zip(classes, values):
+            orbits.setdefault(tuple(sorted(counts)), []).append(value)
+        for members in orbits.values():
+            assert sorted(members) == sorted(list(range(p)) * (len(members) // p))
+        weights = Counter()
+        for (_, size), value in zip(classes, values):
+            weights[value] += size
+        assert weights == {value: p ** (n - 1) for value in range(p)}
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["generate", "2", "1001", "--limit", "1"], 1),
+    (["generate", "2", "4095", "--limit", "1"], 1),
+    # An orbit of 120 classes (counts 0, 1, 2, 3, 5) has about 10^79 splits.
+    (["generate", "5", "11", "--limit", "2"], 2),
+])
+def test_generate_at_many_orbits_and_huge_orbits(capsys, argv, count):
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "index,values"
+    rows = [line.split(",", 1) for line in lines[1:]]
+    assert [int(index) for index, _ in rows] == list(range(count))
+    p, n = int(argv[1]), int(argv[2])
+    if p == 2:
+        # Orbit {i, n - i} puts its lower class on 0, and the classes below
+        # n/2 hold half of the 2^n inputs.
+        assert rows[0][1] == "0" * ((n + 1) // 2) + "1" * ((n + 1) // 2)
+        assert sum(math.comb(n, i) for i in range((n + 1) // 2)) == 1 << (n - 1)
+    else:
+        _check_generated(p, n, [values for _, values in rows])
+
+
 # ---------------------------------------------------------------- scans
 
 
@@ -349,10 +407,8 @@ def test_walsh_answers_at_the_cap(capsys):
 
 
 def test_route_disagreement_maps_to_internal(monkeypatch, capsys):
-    # All residues compare against lacunary_trig_sums, one residue against
-    # the rounded lacunary_trig.
-    monkeypatch.setattr(cli, "lacunary_trig_sums", lambda n, power: (-1, -1))
-    monkeypatch.setattr(cli, "round_real", lambda value: -1)
+    # All residues and one residue run the same loop against one patched route.
+    monkeypatch.setattr(cli, "lacunary_trig_sums", lambda n, power, residues: (-1, -1))
     for argv in (["lacunary", "4", "1"], ["lacunary", "4", "1", "0"]):
         code, _, err = run(capsys, argv)
         assert code == 70

@@ -12,14 +12,11 @@ import symbalance.exactnum as exactnum
 from symbalance.errors import InternalCheckError
 from symbalance.exactnum import (
     binom,
-    binom_mod_p,
     compensated_sum,
     cospi_frac,
     exact_div,
     is_prime,
-    lacunary_exact,
     lacunary_sums,
-    lacunary_trig,
     lacunary_trig_sums,
     multinomial,
     pascal_row,
@@ -95,14 +92,13 @@ def test_is_prime():
        st.integers(min_value=0, max_value=300),
        st.sampled_from([2, 3, 5, 7, 11]))
 def test_binom_mod_p_matches_comb(n, k, p):
-    assert binom_mod_p(n, k, p) == math.comb(n, k) % p
+    assert oracles.binom_mod_p(n, k, p) == math.comb(n, k) % p
 
 
 @given(st.integers(min_value=0, max_value=60),
        st.integers(min_value=1, max_value=5))
 def test_lacunary_partitions_the_row(n, power):
-    total = sum(lacunary_exact(n, power, i) for i in range(1 << power))
-    assert total == 1 << n
+    assert sum(lacunary_sums(n, power, range(1 << power))) == 1 << n
 
 
 @given(st.integers(min_value=0, max_value=40),
@@ -110,33 +106,36 @@ def test_lacunary_partitions_the_row(n, power):
        st.integers(min_value=0, max_value=31))
 def test_lacunary_exact_matches_oracle(n, power, i):
     i %= 1 << power
-    assert lacunary_exact(n, power, i) == oracles.lacunary_sum_direct(n, power, i)
-    assert lacunary_sums(n, power) == tuple(
+    assert lacunary_sums(n, power, [i]) == (oracles.lacunary_sum_direct(n, power, i),)
+    assert lacunary_sums(n, power, range(1 << power)) == tuple(
         oracles.lacunary_sum_direct(n, power, r) for r in range(1 << power))
 
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4, 5])
 def test_lacunary_trig_rounds_to_exact(power):
+    residues = range(1 << power)
     for n in range(1, 41):
-        for i in range(1 << power):
-            assert round_real(lacunary_trig(n, power, i)) == lacunary_exact(n, power, i)
+        assert lacunary_trig_sums(n, power, residues) == lacunary_sums(n, power, residues)
+        for i in residues:
+            assert lacunary_trig_sums(n, power, [i]) == lacunary_sums(n, power, [i])
 
 
 def test_lacunary_trig_rejects_n_zero():
-    assert lacunary_exact(0, 2, 0) == 1
+    assert lacunary_sums(0, 2, range(4)) == (1, 0, 0, 0)
     with pytest.raises(ValueError):
-        lacunary_trig(0, 2, 0)
+        lacunary_trig_sums(0, 2, [0])
     with pytest.raises(ValueError):
-        lacunary_trig_sums(0, 2)
+        lacunary_trig_sums(0, 2, range(4))
 
 
 def test_lacunary_validation():
-    with pytest.raises(ValueError):
-        lacunary_exact(10, 0, 0)
-    with pytest.raises(ValueError):
-        lacunary_exact(10, 2, 4)
-    with pytest.raises(ValueError):
-        lacunary_exact(-1, 2, 0)
+    # Both routes check every residue they are given, not only the first.
+    for route in (lacunary_sums, lacunary_trig_sums):
+        for n, power, residues in ((10, 0, [0]), (10, 2, [4]), (10, 2, [0, 1, -1]),
+                                   (10, 2, range(5)), (-1, 2, [0])):
+            with pytest.raises(ValueError):
+                route(n, power, residues)
+        assert route(10, 2, iter([3, 1])) == (240, 272)
 
 
 def test_trig_helpers_exact_points():
@@ -165,7 +164,7 @@ def test_compensated_sum_cancellation():
 
 def test_round_real():
     assert round_real(compensated_sum([0.5, 0.25, 0.25])) == 1
-    assert round_real(lacunary_trig(10, 2, 1)) == 272
+    assert round_real(cospi_frac(Fraction(1, 3)) * 544) == 272
 
 
 def test_round_real_is_exact_at_any_magnitude():
@@ -198,7 +197,7 @@ def _checked_errors(n, power, residues):
 @pytest.mark.parametrize("power", range(1, 9))
 def test_certified_lacunary_matches_oracle_on_every_residue(power):
     for n in LACUNARY_SWEEP_N:
-        assert lacunary_trig_sums(n, power) == tuple(
+        assert lacunary_trig_sums(n, power, range(1 << power)) == tuple(
             oracles.lacunary_sum_direct(n, power, i) for i in range(1 << power))
         errors = _checked_errors(n, power, range(1 << power))
         assert max(errors) < Fraction(1, 1 << (power + 29))
@@ -211,7 +210,7 @@ def test_certified_lacunary_matches_oracle_on_sampled_residues(power):
         residues = [0, (1 << power) - 1] + rng.sample(range(1 << power), 6)
         _checked_errors(n, power, residues)
         i = residues[-1]
-        assert round_real(lacunary_trig(n, power, i)) == oracles.lacunary_sum_direct(n, power, i)
+        assert lacunary_trig_sums(n, power, [i]) == (oracles.lacunary_sum_direct(n, power, i),)
 
 
 def test_lacunary_error_bound_is_far_below_one_half():
@@ -221,16 +220,10 @@ def test_lacunary_error_bound_is_far_below_one_half():
         assert bound < Fraction(1, 1 << (power + 29))
 
 
-def test_lacunary_trig_is_the_kernel_value_exactly():
-    scale, (value,) = exactnum._lacunary_fixed(100, 6, [3])
-    man, exp = lacunary_trig(100, 6, 3).man_exp
-    assert Fraction(man) * Fraction(2) ** exp == Fraction(value, 1 << scale)
-
-
 def test_lacunary_certificate_refuses_a_value_outside_its_bound(monkeypatch):
     monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: Fraction(0))
     with pytest.raises(InternalCheckError):
-        lacunary_trig_sums(10, 3)
+        lacunary_trig_sums(10, 3, range(8))
     monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: Fraction(1, 2))
     with pytest.raises(InternalCheckError):
-        lacunary_trig(10, 3, 0)
+        lacunary_trig_sums(10, 3, [0])

