@@ -112,16 +112,21 @@ def check_divisibility(mv: MVector) -> bool:
     return orbit_size(mv) % mv.p == 0
 
 
+def _check_orbit_args(p: int, n: int) -> None:
+    """The checks every orbit walk makes first: p prime, n >= 0."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+
+
 def _partitions(n: int, p: int) -> Iterator[tuple[int, ...]]:
     """The partitions of n into at most p positive parts, as non-increasing
     tuples in descending lexicographic order: one per orbit, the nonzero
     symbol counts of its classes.  Each next partition lowers the last part
     that can drop by one while the parts after it, none larger, still fit
     in the slots left; those parts are then refilled greedily."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_orbit_args(p, n)
     parts: list[int] = []
     rest = n
     while True:
@@ -162,9 +167,16 @@ def enumerate_mvectors(p: int, n: int) -> list[MVector]:
 
 def all_orbits_divisible(p: int, n: int) -> bool:
     """Whether every orbit splits into p equal groups.  Decided two ways
-    that must agree: gcd(n, p) = 1, and no multiplicity reaching p."""
+    that must agree: gcd(n, p) = 1, and no multiplicity reaching p.  When
+    p divides n the second way needs only the partition into p equal parts
+    (none at all for n = 0), whose one multiplicity is p; otherwise it
+    scans every partition."""
+    _check_orbit_args(p, n)
     by_gcd = math.gcd(n, p) == 1
-    by_scan = all(max(_multiplicities(parts, p)) < p for parts in _partitions(n, p))
+    if by_gcd:
+        by_scan = all(max(_multiplicities(parts, p)) < p for parts in _partitions(n, p))
+    else:
+        by_scan = max(_multiplicities((n // p,) * p if n else (), p)) < p
     if by_gcd != by_scan:
         raise InternalCheckError(f"orbit split criteria disagree at p={p}, n={n}")
     return by_gcd

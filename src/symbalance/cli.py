@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bisection import find_all_solutions
 from .census import (
@@ -76,13 +76,14 @@ class CommandResult:
     """An answer as rows for JSON and CSV, and a function that builds its
     text lines, called only when text is printed.  Each big integer is
     turned into decimal once, and the lines reuse that string.  A lines
-    function keeps only what it prints, so the computed cells or witnesses
-    are freed before the output is written."""
+    function keeps only what it prints, so computed witnesses are freed
+    before the output is written.  The rows are read at most once, so a
+    scan passes a generator over its cells that text output never runs."""
 
     command: str
     parameters: dict
     columns: list
-    rows: list
+    rows: Iterable[dict]
     lines: Callable[[], list]
     exit_code: int = EXIT_OK
 
@@ -202,14 +203,13 @@ def _cmd_generate(args) -> CommandResult:
 def _cmd_scan_c1(args) -> CommandResult:
     cells = scan_conjecture1(args.n_max)
     bad = conjecture1_mismatches(cells)
-    rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
-             "balanced": c.balanced, "predicted": c.predicted} for c in cells]
-    scanned = len(cells)  # the lines keep the count, not the cells
+    rows = ({"d": c.d, "n": c.n, "weight": str(c.weight),
+             "balanced": c.balanced, "predicted": c.predicted} for c in cells)
 
     def lines():
         return [*(f"mismatch at d={c.d}, n={c.n}: balanced={c.balanced}, "
                   f"predicted={c.predicted}" for c in bad),
-                f"scanned {scanned} cells with 2 <= d <= n <= {args.n_max}; "
+                f"scanned {len(cells)} cells with 2 <= d <= n <= {args.n_max}; "
                 f"mismatches: {len(bad)}"]
 
     return CommandResult(
@@ -221,14 +221,13 @@ def _cmd_scan_c1(args) -> CommandResult:
 def _cmd_scan_c2(args) -> CommandResult:
     cells = scan_conjecture2(args.n_max)
     bad = conjecture2_violations(cells)
-    rows = [{"d": c.d, "n": c.n, "weight": str(c.weight),
-             "bound": str(c.bound), "below": c.below} for c in cells]
-    scanned = len(cells)  # the lines keep the count, not the cells
+    rows = ({"d": c.d, "n": c.n, "weight": str(c.weight),
+             "bound": str(c.bound), "below": c.below} for c in cells)
 
     def lines():
         return [*(f"violation at d={c.d}, n={c.n}: weight {c.weight} reaches "
                   f"2^(n-2) = {c.bound}" for c in bad),
-                f"scanned {scanned} cells with wt(d) >= 6, "
+                f"scanned {len(cells)} cells with wt(d) >= 6, "
                 f"2(d-1) <= n <= {args.n_max}; violations: {len(bad)}"]
 
     return CommandResult(
@@ -364,7 +363,7 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
             print(line)
     elif fmt == "json":
         payload = {"command": result.command, "parameters": result.parameters,
-                   "results": result.rows, "runtime_ms": elapsed_ms}
+                   "results": list(result.rows), "runtime_ms": elapsed_ms}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")

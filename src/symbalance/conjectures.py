@@ -10,15 +10,15 @@ The closed-form weights for degrees 2^t + 1 and 1 + 2^s + 2^t evaluate
 short cosine sums instead of binomial rows; they are exact in exact
 arithmetic and are checked here in fixed precision against the integer
 route, with the correction term's sign compared to the sign of a single
-sine factor.
+sine factor.  They import mpmath on their first call; the scans and the
+sign check never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .errors import BudgetError
 from .exactnum import (
@@ -30,6 +30,9 @@ from .exactnum import (
     sinpi_frac,
 )
 from .symfun import balance_in_row, weight_elem, weight_in_row
+
+if TYPE_CHECKING:
+    import mpmath
 
 C1_MAX_N = 64
 C2_DEFAULT_N = 160
@@ -118,6 +121,7 @@ def weight_trig_wt2(t: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     (S, T) with S = 2^(m-2) + T / 2^t; the weight is S rounded.  T collects
     (2 cos A)^(m-1) sin(rA)/sin(A) over odd a < 2^t with A = a pi / 2^(t+1)
     and r = m - 2^(t+1)."""
+    import mpmath
     if t < 1:
         raise ValueError("t must be at least 1")
     half = 1 << (t + 1)
@@ -140,6 +144,7 @@ def weight_trig_wt3(s: int, t: int, n: int) -> mpmath.mpf:
     least the degree, as one value to round.  Two cosine sums: odd j up to
     2^t - 1 with A = j pi / 2^(t+1), and odd k up to 2^s - 1 with
     B = k pi / 2^(s+1)."""
+    import mpmath
     if not 1 <= s < t:
         raise ValueError("need 1 <= s < t")
     d = 1 + (1 << s) + (1 << t)
@@ -168,22 +173,13 @@ def weight_trig_wt3(s: int, t: int, n: int) -> mpmath.mpf:
 
 
 def correction_sign_check(t: int, r: int) -> bool:
-    """Whether the correction T for m = r + 2^(t+1) variables carries the
-    sign of sin(r pi / 2^(t+1)).  T vanishes exactly when r is a multiple
-    of 2^(t+1); magnitudes below 1e-6 * 2^m count as zero.
-
-    The cutoff scale is coarse: T itself grows like (2 cos(pi/2^(t+1)))^m,
-    so for t = 1 a genuinely nonzero T drops under the cutoff once m is
-    near 40.  Intended for m within a few multiples of the period."""
+    """Whether the correction T of weight_trig_wt2 for m = r + 2^(t+1)
+    variables carries the exact sign of sin(r pi / 2^(t+1)).  T vanishes
+    exactly when r is a multiple of 2^(t+1).  Since T = 2^t (w - 2^(m-2))
+    with w the exact weight of X(2^t + 1, m), its sign is read from w."""
     if t < 1 or r < 0:
         raise ValueError("need t >= 1 and r >= 0")
     half = 1 << (t + 1)
-    _, correction = weight_trig_wt2(t, r + half)
-    expected = sign_sinpi(Fraction(r, half))
-    with mpmath.workprec(PRECISION_BITS):
-        cutoff = mpmath.mpf(2) ** (r + half) * mpmath.mpf("1e-6")
-        if abs(correction) < cutoff:
-            actual = 0
-        else:
-            actual = 1 if correction > 0 else -1
-    return actual == expected
+    m = r + half
+    excess = weight_elem((1 << t) + 1, m) - (1 << (m - 2))
+    return (excess > 0) - (excess < 0) == sign_sinpi(Fraction(r, half))

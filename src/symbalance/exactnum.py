@@ -2,13 +2,15 @@
 
 Arbitrary-precision naturals are plain Python ints.  The closed
 trigonometric form of a lacunary binomial sum is evaluated in fixed point
-on plain ints, at a precision chosen from n and the modulus, with a proven
-error bound: each value is rounded only when the bound certifies the
-nearest integer.  The weight closed forms of `conjectures` use the mpmath
-helpers here at a fixed PRECISION_BITS of mantissa, with every cosine/sine
-argument kept as an exact rational multiple of pi and reduced mod 2 before
-the numeric call.  Floats never decide a verdict anywhere in this package;
-they only cross-check integers.
+on plain ints throughout, from its cosine/sine pair to its last sum, at a
+precision chosen from n and the modulus, with a proven error bound: each
+value is rounded only when the bound certifies the nearest integer.  The
+weight closed forms of `conjectures` use the mpmath helpers here at a
+fixed PRECISION_BITS of mantissa, with every cosine/sine argument kept as
+an exact rational multiple of pi and reduced mod 2 before the numeric
+call; mpmath is imported by those helpers on first use, so importing this
+module does not load it.  Floats never decide a verdict anywhere in this
+package; they only cross-check integers.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Sequence
-
-import mpmath
-from mpmath import libmp
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError
+
+if TYPE_CHECKING:
+    import mpmath
 
 PRECISION_BITS = 96
 
@@ -130,6 +132,7 @@ def lacunary_sums(n: int, power: int, residues: Iterable[int]) -> tuple[int, ...
 
 def cospi_frac(q: Fraction) -> mpmath.mpf:
     """cos(pi q) for rational q, reduced mod 2 before evaluation."""
+    import mpmath
     q = Fraction(q) % 2
     with mpmath.workprec(PRECISION_BITS):
         return mpmath.cospi(mpmath.mpf(q.numerator) / q.denominator)
@@ -137,6 +140,7 @@ def cospi_frac(q: Fraction) -> mpmath.mpf:
 
 def sinpi_frac(q: Fraction) -> mpmath.mpf:
     """sin(pi q) for rational q, reduced mod 2 before evaluation."""
+    import mpmath
     q = Fraction(q) % 2
     with mpmath.workprec(PRECISION_BITS):
         return mpmath.sinpi(mpmath.mpf(q.numerator) / q.denominator)
@@ -153,6 +157,7 @@ def sign_sinpi(q: Fraction) -> int:
 def compensated_sum(terms: Iterable) -> mpmath.mpf:
     """Neumaier-compensated summation; the running error term is folded in
     at the end."""
+    import mpmath
     with mpmath.workprec(PRECISION_BITS):
         total = mpmath.mpf(0)
         err = mpmath.mpf(0)
@@ -170,6 +175,7 @@ def compensated_sum(terms: Iterable) -> mpmath.mpf:
 def round_real(x) -> int:
     """Nearest integer to a high-precision real, ties to even, computed
     exactly from the mantissa and exponent of an mpf at any magnitude."""
+    import mpmath
     if not isinstance(x, mpmath.mpf):
         with mpmath.workprec(PRECISION_BITS):
             x = mpmath.mpf(x)
@@ -189,6 +195,22 @@ def _lacunary_error_bound(n: int, power: int) -> Fraction:
     return Fraction(n + 1, 1 << (_lacunary_precision(n, power) - n - power - 3))
 
 
+def _cos_sin_pi(power: int, prec: int) -> tuple[int, int]:
+    """cos(pi/M) and sin(pi/M) for M = 2^power, as ints scaled by 2^prec and
+    rounded to nearest: the half-angle chain cos(a/2) = sqrt((1 + cos a)/2)
+    from cos(pi/2) = 0, then sin = sqrt((1 - cos)(1 + cos)), on plain ints
+    with power + 8 guard bits (step 1 of _lacunary_fixed bounds the error)."""
+    guard = power + 8
+    q = prec + guard
+    one = 1 << q
+    c = 0
+    for _ in range(power - 1):
+        c = math.isqrt((one + c) << (q - 1))
+    s = math.isqrt((one - c) * (one + c))
+    half = 1 << (guard - 1)
+    return (c + half) >> guard, (s + half) >> guard
+
+
 def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, list[int]]:
     """The closed form of lacunary_trig_sums for each residue i, as
     (Q, [A_i 2^Q]).
@@ -196,8 +218,19 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
     With M = 2^power, b_j = 2 cos(j pi / M) and u = 2^-P (P from
     _lacunary_precision), everything is a plain int scaled by 2^P:
 
-    1. cos(pi/M) and sin(pi/M) come from mpmath.libmp at P + 4 bits and
-       are rounded to within u.
+    1. cos(pi/M) and sin(pi/M) come from _cos_sin_pi on plain ints scaled
+       by 2^R, R = P + power + 8, and are rounded to within u.  The chain
+       c <- isqrt((2^R + c) 2^(R-1)) starts exactly at cos(pi/2) = 0 and
+       truncates at each step, so c never exceeds its true value.  On
+       angles up to pi/2 the map x -> sqrt((1 + x)/2) has slope at most
+       1/(4 cos(pi/4)) = 1/(2 sqrt 2), so each step contracts the error
+       carried in by that factor and adds less than one unit 2^-R: the
+       error stays below 1/(1 - 1/(2 sqrt 2)) < 1.55 units.  Taking
+       s = isqrt((2^R - c)(2^R + c)) amplifies that error by the slope of
+       sqrt(1 - x^2), cot(pi/M) < M/2, and truncation adds one unit, so s
+       is off by less than 0.78 M + 1 units of 2^-R, that is below u/128
+       (M >= 2).  Rounding each to P bits adds at most u/2, so the pair is
+       within u.
     2. cos(k pi/M) for 0 <= k <= M/2 comes from k rotations by that pair,
        each truncated.  A rotation keeps the error already made, and the
        errors of the pair and of the truncation add less than 3u, so
@@ -231,9 +264,7 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
     half = mod >> 1
     prec = _lacunary_precision(n, power)
     frac = prec - n
-    cos1, sin1 = libmp.mpf_cos_sin_pi(libmp.from_man_exp(1, -power), prec + 4)
-    c1 = (libmp.to_fixed(cos1, prec + 4) + 8) >> 4
-    s1 = (libmp.to_fixed(sin1, prec + 4) + 8) >> 4
+    c1, s1 = _cos_sin_pi(power, prec)
     quarter = [1 << prec]
     c, s = 1 << prec, 0
     for _ in range(half):

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 import oracles
+import symbalance.census as census
 import symbalance.cli as cli
 from symbalance.cli import main
 from symbalance.conjectures import BoundCell, ScanCell
@@ -386,6 +387,18 @@ def test_orbit_split_maps_to_usage(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [["lower-bound", "3", "3000"],
+                                  # the largest multiple of 3 under the class cap
+                                  ["generate", "3", "87"]])
+def test_orbit_split_refusal_walks_no_partitions(monkeypatch, capsys, argv):
+    def forbidden(n, p):
+        raise AssertionError("the refusal walked the partitions")
+
+    monkeypatch.setattr(census, "_partitions", forbidden)
+    assert run(capsys, argv) == (
+        64, "", f"error: p=3 divides n={argv[2]}: some orbit cannot be split into p groups\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["scan-c1", "--n-max", "100"],
     ["walsh", "2", str(cli.WALSH_MAX_N + 1)],
@@ -474,6 +487,30 @@ def test_import_starts_no_process_machinery():
     probe = ("import symbalance.cli, sys; "
              "sys.exit(sorted({'concurrent.futures', 'multiprocessing'} "
              "& set(sys.modules)) or 0)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_command_loads_mpmath():
+    # mpmath is imported only by the library's weight closed forms.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import symbalance, symbalance.cli as cli",
+        "commands = [['lacunary', '140', '12', '4000'], ['lacunary', '60', '3'],",
+        "            ['scan-c1'], ['weight', '1', '1'], ['balanced', '4', '100'],",
+        "            ['sac', '3', '10'], ['walsh', '3', '10'], ['bisect', '12', '--enumerate'],",
+        "            ['count', '3', '3'], ['lower-bound', '3', '4'], ['generate', '3', '2'],",
+        "            ['lower-bound', '3', '3000'], ['scan-c2', '--n-max', '130']]",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "    codes = [cli.main(argv) for argv in commands]",
+        "if codes != [0] * 11 + [64, 0]:",
+        "    sys.exit(f'exit codes {codes}')",
+        "if 'mpmath' in sys.modules:",
+        "    sys.exit('mpmath was loaded')",
+    ])
     done = subprocess.run([sys.executable, "-c", probe],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)

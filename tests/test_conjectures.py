@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 
+import oracles
 from symbalance.conjectures import (
     BoundCell,
     ScanCell,
@@ -15,7 +18,7 @@ from symbalance.conjectures import (
     weight_trig_wt3,
 )
 from symbalance.errors import BudgetError
-from symbalance.exactnum import round_real
+from symbalance.exactnum import round_real, sign_sinpi
 from symbalance.symfun import is_balanced_elem, weight_elem
 
 
@@ -164,6 +167,20 @@ def test_correction_sign_check():
     for t in range(1, 5):
         for r in range(0, 3 * (1 << (t + 1))):
             assert correction_sign_check(t, r)
+
+
+def test_correction_sign_check_uses_the_exact_sign():
+    # A fixed 1e-6 * 2^m zero cutoff failed on 155 of the cells with t <= 5
+    # and r < 200, the first at (t, r) = (1, 35).
+    assert correction_sign_check(1, 35)
+    assert all(correction_sign_check(t, r) for t in range(1, 8) for r in range(400))
+    # The identity behind it, T = 2^t (w - 2^(m-2)), with w from math.comb.
+    for t in range(1, 6):
+        half = 1 << (t + 1)
+        for r in range(200):
+            m = r + half
+            excess = oracles.elem_weight_dominating((1 << t) + 1, m) - (1 << (m - 2))
+            assert (excess > 0) - (excess < 0) == sign_sinpi(Fraction(r, half))
 
 
 def test_quarter_weight_only_at_zero_residue():

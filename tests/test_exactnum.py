@@ -181,6 +181,29 @@ def test_round_real_is_exact_at_any_magnitude():
 LACUNARY_SWEEP_N = (1, 2, 3, 5, 7, 40, 100, 193, 1000)
 
 
+@pytest.mark.parametrize("power", range(1, 13))
+def test_cos_sin_chain_matches_libmp(power):
+    for n in LACUNARY_SWEEP_N + (4096,):
+        prec = exactnum._lacunary_precision(n, power)
+        cos1, sin1 = mpmath.libmp.mpf_cos_sin_pi(mpmath.libmp.from_man_exp(1, -power), prec + 4)
+        expected = tuple((mpmath.libmp.to_fixed(x, prec + 4) + 8) >> 4 for x in (cos1, sin1))
+        assert exactnum._cos_sin_pi(power, prec) == expected, n
+
+
+@pytest.mark.parametrize("power", range(1, 13))
+def test_cos_sin_chain_is_within_its_proved_error(power):
+    # Step 1 of the kernel's proof: each value of the pair is within
+    # 1/2 + 1/128 units of 2^-P.  n = 1354 and 3643 are near ties where the
+    # chain rounds the other way from libmp (at powers 2 and 3).
+    for n in LACUNARY_SWEEP_N + (1354, 3643, 4096):
+        prec = exactnum._lacunary_precision(n, power)
+        with mpmath.workprec(prec + 64):
+            angle = mpmath.mpf(1) / (1 << power)
+            exact = (mpmath.cospi(angle) * 2 ** prec, mpmath.sinpi(angle) * 2 ** prec)
+            for value, true in zip(exactnum._cos_sin_pi(power, prec), exact):
+                assert abs(value - true) <= mpmath.mpf(1) / 2 + mpmath.mpf(1) / 128, n
+
+
 def _checked_errors(n, power, residues):
     """The kernel's |A - exact| for each residue, against the bound E."""
     scale, values = exactnum._lacunary_fixed(n, power, residues)
