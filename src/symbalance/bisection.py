@@ -15,8 +15,8 @@ from itertools import islice
 from typing import Optional
 
 from .census import brute_count_balanced_symmetric
-from .errors import BudgetError, InternalCheckError
-from .exactnum import binom, pascal_row
+from .errors import BudgetError
+from .exactnum import pascal_row
 
 SEARCH_MAX_N = 32
 
@@ -46,23 +46,8 @@ class SolutionReport:
     witnesses: Optional[tuple[SignVector, ...]] = None
 
 
-def signed_sum(sv: SignVector) -> int:
-    """Exact sum of delta_i C(n, i)."""
-    return sum(d * binom(sv.n, i) for i, d in enumerate(sv.delta))
-
-
 def _alternating(n: int) -> tuple[int, ...]:
     return tuple((-1) ** i for i in range(n + 1))
-
-
-def is_trivial(sv: SignVector) -> bool:
-    """Classify a solution: alternating (even n) or antisymmetric (odd n)."""
-    if signed_sum(sv) != 0:
-        raise ValueError("not a solution")
-    if sv.n % 2 == 0:
-        alt = _alternating(sv.n)
-        return sv.delta == alt or sv.delta == tuple(-d for d in alt)
-    return all(sv.delta[sv.n - i] == -sv.delta[i] for i in range((sv.n + 1) // 2))
 
 
 def count_trivial(n: int) -> int:
@@ -155,17 +140,3 @@ def _nontrivial_in_lex_order(n: int):
             suffix = _signs(hi, width)
             if suffix != trivial:
                 yield SignVector(n, prefix + suffix)
-
-
-def bisection_from_solution(sv: SignVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Index sets (A, B) with A = positions signed +1; each side's binomial
-    coefficients sum to 2^(n-1)."""
-    if signed_sum(sv) != 0:
-        raise ValueError("not a solution")
-    plus = tuple(i for i, d in enumerate(sv.delta) if d == 1)
-    minus = tuple(i for i, d in enumerate(sv.delta) if d == -1)
-    if sv.n >= 1:
-        half = 1 << (sv.n - 1)
-        if sum(binom(sv.n, i) for i in plus) != half:
-            raise InternalCheckError("signed halves do not carry equal mass")
-    return plus, minus

@@ -1,34 +1,39 @@
 """Counting and constructing balanced symmetric functions over GF(p).
 
-Multiset classes group into orbits under permutation of the symbol counts;
-an orbit is described by its multiplicity vector (how many counts equal
-each value l).  When gcd(n, p) = 1 every orbit size is divisible by p, so
-each orbit splits into p equal groups of classes; assigning output value g
-to group g balances every orbit and hence the function.  The number of
-such splits is the product lower bound; brute-force counting provides the
-oracle at desk scales.
+Multiset classes group into orbits under permutation of the symbols; an
+orbit is a partition of n into at most p parts (the nonzero symbol counts
+of its classes), and its size is p! over the product of the factorials of
+the multiplicities of its counts.  When gcd(n, p) = 1 every orbit size is
+divisible by p, so each orbit splits into p equal groups of classes;
+assigning output value g to group g balances every orbit and hence the
+function.  The number of such splits is the product lower bound;
+brute-force counting provides the oracle at desk scales.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, compress, groupby, islice
+from itertools import chain, compress, groupby, islice
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
 from .exactnum import binom, exact_div, is_prime, multinomial
-from .symfun import MultisetClass, SymmetricFunction, enumerate_classes
+from .symfun import SymmetricFunction, _count_vectors, enumerate_classes
 
 BRUTE_MAX_BITS = 96
 
 
-def count_symmetric(p: int, n: int) -> int:
-    """p^C(p+n-1, n): one free output value per multiset class."""
+def _check_args(p: int, n: int) -> None:
+    """The checks every count and orbit walk makes first: p prime, n >= 0."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if n < 0:
         raise ValueError("n must be non-negative")
+
+
+def count_symmetric(p: int, n: int) -> int:
+    """p^C(p+n-1, n): one free output value per multiset class."""
+    _check_args(p, n)
     return p ** binom(p + n - 1, n)
 
 
@@ -37,8 +42,7 @@ def count_balanced_all(p: int, n: int) -> int:
     (p^n)! / ((p^(n-1))!)^p with s = p^(n-1), as the product of q^e over
     the primes q <= p s, e = v_q((p s)!) - p v_q(s!) by Legendre's formula,
     multiplied pairwise so the big factors meet only at the top."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    _check_args(p, n)
     if n < 1:
         raise ValueError("balance needs n >= 1")
     share = p ** (n - 1)
@@ -76,57 +80,13 @@ def _factorial_valuation(m: int, q: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class MVector:
-    """Multiplicities of count values within one class: m[l] counts the
-    symbols appearing exactly l times."""
-
-    p: int
-    n: int
-    m: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.m) != self.n + 1:
-            raise ValueError("m must have n + 1 entries")
-        if any(q < 0 for q in self.m):
-            raise ValueError("multiplicities must be non-negative")
-        if sum(self.m) != self.p:
-            raise ValueError("multiplicities must sum to p")
-        if sum(l * q for l, q in enumerate(self.m)) != self.n:
-            raise ValueError("weighted multiplicities must sum to n")
-
-
-def mvector_of(cls: MultisetClass) -> MVector:
-    """Multiplicity vector of a class's count multiset."""
-    return MVector(cls.p, cls.n,
-                   tuple(cls.counts.count(l) for l in range(cls.n + 1)))
-
-
-def orbit_size(mv: MVector) -> int:
-    """Number of classes sharing this count multiset: p! / prod m_l!."""
-    return multinomial(mv.p, mv.m)
-
-
-def check_divisibility(mv: MVector) -> bool:
-    """Whether p divides the orbit size."""
-    return orbit_size(mv) % mv.p == 0
-
-
-def _check_orbit_args(p: int, n: int) -> None:
-    """The checks every orbit walk makes first: p prime, n >= 0."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-
-
 def _partitions(n: int, p: int) -> Iterator[tuple[int, ...]]:
     """The partitions of n into at most p positive parts, as non-increasing
     tuples in descending lexicographic order: one per orbit, the nonzero
     symbol counts of its classes.  Each next partition lowers the last part
     that can drop by one while the parts after it, none larger, still fit
     in the slots left; those parts are then refilled greedily."""
-    _check_orbit_args(p, n)
+    _check_args(p, n)
     parts: list[int] = []
     rest = n
     while True:
@@ -152,26 +112,13 @@ def _multiplicities(parts: tuple[int, ...], p: int) -> list[int]:
     return [p - len(parts), *(len(list(run)) for _, run in groupby(parts))]
 
 
-def enumerate_mvectors(p: int, n: int) -> list[MVector]:
-    """All multiplicity vectors with sum p and weighted sum n, one per
-    partition of n into at most p parts; sorted for determinism."""
-    found = []
-    for parts in _partitions(n, p):
-        m = [0] * (n + 1)
-        m[0] = p - len(parts)
-        for q in parts:
-            m[q] += 1
-        found.append(tuple(m))
-    return [MVector(p, n, t) for t in sorted(found)]
-
-
 def all_orbits_divisible(p: int, n: int) -> bool:
     """Whether every orbit splits into p equal groups.  Decided two ways
     that must agree: gcd(n, p) = 1, and no multiplicity reaching p.  When
     p divides n the second way needs only the partition into p equal parts
     (none at all for n = 0), whose one multiplicity is p; otherwise it
     scans every partition."""
-    _check_orbit_args(p, n)
+    _check_args(p, n)
     by_gcd = math.gcd(n, p) == 1
     if by_gcd:
         by_scan = all(max(_multiplicities(parts, p)) < p for parts in _partitions(n, p))
@@ -202,30 +149,48 @@ def lower_bound_balanced(p: int, n: int) -> int:
 
 
 def _orbits(p: int, n: int) -> list[list[int]]:
-    """Class indices grouped by count multiset, in canonical order."""
+    """Class indices grouped by orbit.  An orbit's key is its classes'
+    counts sorted ascending: its partition, reversed and padded with zeros
+    to p counts.  Orbits come in ascending order of that key, which fixes
+    the output order of generate_balanced."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, cls in enumerate(enumerate_classes(p, n)):
-        groups.setdefault(tuple(sorted(cls.counts)), []).append(idx)
+    for idx, counts in enumerate(_count_vectors(p, n)):
+        groups.setdefault(tuple(sorted(counts)), []).append(idx)
     return [groups[key] for key in sorted(groups)]
 
 
 def _equal_partitions(members: list[int], p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All splits of members into p ordered groups of equal size, in
-    lexicographic order; the first split is the consecutive runs."""
+    lexicographic order; the first split is the consecutive runs.  Group k
+    is a set of positions, ascending, in the pool that groups before it
+    left; the last group takes its whole pool.  Without recursion, the
+    deepest group that has a next set of positions in lex order takes it,
+    and the groups after it restart at the first positions of what is
+    left."""
     share = len(members) // p
-
-    def rec(pool: list[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(pool) == share:
-            yield (tuple(pool),)
+    pools = [tuple(members)]
+    picks = [list(range(share))]
+    while True:
+        while len(pools) < p:
+            pool, picked = pools[-1], picks[-1]
+            pools.append(tuple(chain.from_iterable(
+                pool[a + 1:b] for a, b in zip((-1, *picked), (*picked, len(pool))))))
+            picks.append(list(range(share)))
+        yield tuple(tuple(map(pool.__getitem__, picked)) for pool, picked in zip(pools, picks))
+        pools.pop()
+        picks.pop()
+        while picks:
+            picked, top = picks[-1], len(pools[-1]) - share
+            j = share - 1
+            while j >= 0 and picked[j] == top + j:
+                j -= 1
+            if j >= 0:
+                picked[j:] = range(picked[j] + 1, picked[j] + 1 + share - j)
+                break
+            pools.pop()
+            picks.pop()
+        else:
             return
-        for picked in combinations(range(len(pool)), share):
-            group = tuple(pool[i] for i in picked)
-            chosen = set(picked)
-            rest = [x for i, x in enumerate(pool) if i not in chosen]
-            for tail in rec(rest):
-                yield (group,) + tail
-
-    return rec(members)
 
 
 def generate_balanced(p: int, n: int, limit: Optional[int] = None) -> Iterator[SymmetricFunction]:
@@ -275,9 +240,9 @@ def brute_count_balanced_symmetric(p: int, n: int) -> int:
     of output values to classes, with branches pruned once a value's input
     count exceeds p^(n-1) and shared suffixes counted once (memoized on the
     remaining classes and the sorted bucket fills: every bucket has the same
-    target, so relabeling buckets leaves the count unchanged)."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    target, so relabeling buckets leaves the count unchanged).  The budget
+    is checked before any class is listed."""
+    _check_args(p, n)
     if n < 1:
         raise ValueError("balance needs n >= 1")
     classes = binom(p + n - 1, n)

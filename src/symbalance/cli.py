@@ -160,10 +160,11 @@ def _cmd_count(args) -> CommandResult:
     if args.p ** args.n > COUNT_MAX_INPUTS:
         raise BudgetError(
             f"p^n={args.p ** args.n} exceeds the counting cap {COUNT_MAX_INPUTS}")
-    symmetric = str(count_symmetric(args.p, args.n))
-    # The census DP checks its budget first, so it runs before the costly
-    # product of binomials.
+    # The census DP checks p, n and its budget before any work, with the
+    # same messages as count_symmetric, so it runs first: at p = 65537 the
+    # decimal of p^p alone takes seconds.
     among_symmetric = str(brute_count_balanced_symmetric(args.p, args.n))
+    symmetric = str(count_symmetric(args.p, args.n))
     over_all = str(count_balanced_all(args.p, args.n))
     return CommandResult(
         "count", {"p": args.p, "n": args.n},

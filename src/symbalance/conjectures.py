@@ -8,10 +8,9 @@ range exactly and report the cells so callers can look for mismatches.
 
 The closed-form weights for degrees 2^t + 1 and 1 + 2^s + 2^t evaluate
 short cosine sums instead of binomial rows; they are exact in exact
-arithmetic and are checked here in fixed precision against the integer
-route, with the correction term's sign compared to the sign of a single
-sine factor.  They import mpmath on their first call; the scans and the
-sign check never load it.
+arithmetic and are evaluated here in fixed precision, to be checked
+against the integer route.  They import mpmath on their first call; the
+scans never load it.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ from .exactnum import (
     compensated_sum,
     cospi_frac,
     pascal_rows,
-    sign_sinpi,
     sinpi_frac,
 )
-from .symfun import balance_in_row, weight_elem, weight_in_row
+from .symfun import balance_in_row, weight_in_row
 
 if TYPE_CHECKING:
     import mpmath
@@ -108,14 +106,6 @@ def conjecture2_violations(cells: list[BoundCell]) -> list[BoundCell]:
     return [cell for cell in cells if not cell.below]
 
 
-def quarter_weight_holds(t: int, ell: int) -> bool:
-    """Whether X(2^t + 1, 2^(t+1) l) has weight exactly 2^(n-2)."""
-    if t < 1 or ell < 1:
-        raise ValueError("need t >= 1 and l >= 1")
-    n = (1 << (t + 1)) * ell
-    return weight_elem((1 << t) + 1, n) == 1 << (n - 2)
-
-
 def weight_trig_wt2(t: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Closed-form weight of X(2^t + 1, m) for m >= 2^(t+1), as the pair
     (S, T) with S = 2^(m-2) + T / 2^t; the weight is S rounded.  T collects
@@ -170,16 +160,3 @@ def weight_trig_wt3(s: int, t: int, n: int) -> mpmath.mpf:
                  - compensated_sum(first) / (1 << t)
                  - compensated_sum(second) / (1 << (s + 1)))
     return total
-
-
-def correction_sign_check(t: int, r: int) -> bool:
-    """Whether the correction T of weight_trig_wt2 for m = r + 2^(t+1)
-    variables carries the exact sign of sin(r pi / 2^(t+1)).  T vanishes
-    exactly when r is a multiple of 2^(t+1).  Since T = 2^t (w - 2^(m-2))
-    with w the exact weight of X(2^t + 1, m), its sign is read from w."""
-    if t < 1 or r < 0:
-        raise ValueError("need t >= 1 and r >= 0")
-    half = 1 << (t + 1)
-    m = r + half
-    excess = weight_elem((1 << t) + 1, m) - (1 << (m - 2))
-    return (excess > 0) - (excess < 0) == sign_sinpi(Fraction(r, half))

@@ -146,14 +146,6 @@ def sinpi_frac(q: Fraction) -> mpmath.mpf:
         return mpmath.sinpi(mpmath.mpf(q.numerator) / q.denominator)
 
 
-def sign_sinpi(q: Fraction) -> int:
-    """Exact sign of sin(pi q) for rational q: -1, 0, or +1."""
-    q = Fraction(q) % 2
-    if q == 0 or q == 1:
-        return 0
-    return 1 if q < 1 else -1
-
-
 def compensated_sum(terms: Iterable) -> mpmath.mpf:
     """Neumaier-compensated summation; the running error term is folded in
     at the end."""

@@ -17,15 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .exactnum import binom, pascal_row
-from .symfun import WeightFunction, elem_values, is_balanced_elem
-
-
-def walsh_symmetric(wf: WeightFunction, y: int) -> int:
-    """Walsh value at any mask of weight y: sum_k (-1)^(v(k)) P_k(y, n)."""
-    if not 0 <= y <= wf.n:
-        raise ValueError("need 0 <= y <= n")
-    return walsh_spectrum(wf).by_weight[y]
+from .exactnum import pascal_row
+from .symfun import WeightFunction, is_balanced_elem
 
 
 @dataclass(frozen=True)
@@ -64,28 +57,3 @@ def is_sac_elem(d: int, n: int) -> bool:
     if d > n:
         raise ValueError("need d <= n")
     return is_balanced_elem(d - 1, n - 1)
-
-
-def check_antisymmetry(d: int, n: int) -> bool:
-    """For odd degree d: W(y) = -W(n - y) for all 0 < y < n (the all-zero
-    and all-one masks are exempt)."""
-    if d % 2 == 0:
-        raise ValueError("antisymmetry applies to odd degrees only")
-    spec = walsh_spectrum(elem_values(d, n)).by_weight
-    return all(spec[y] == -spec[n - y] for y in range(1, n))
-
-
-def half_square_sums(wf: WeightFunction) -> tuple[int, int]:
-    """Sums of W(w)^2 over the half-spaces w_n = 0 and w_n = 1.  Of the
-    masks of weight y, C(n-1, y) have w_n = 0 and C(n-1, y-1) have w_n = 1."""
-    squares = [v * v for v in walsh_spectrum(wf).by_weight]
-    lo = sum(binom(wf.n - 1, y) * sq for y, sq in enumerate(squares))
-    hi = sum(binom(wf.n - 1, y - 1) * sq for y, sq in enumerate(squares))
-    return lo, hi
-
-
-def check_half_sums(wf: WeightFunction) -> bool:
-    """True when both half-space sums of W(w)^2 equal 2^(2n-1), as they
-    must for any function satisfying the avalanche criterion."""
-    lo, hi = half_square_sums(wf)
-    return lo == hi == 1 << (2 * wf.n - 1)

@@ -11,8 +11,9 @@ monomials are all-ones there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations_with_replacement, compress
 from math import perm
+from operator import sub
 from typing import Iterator
 
 from .errors import InternalCheckError
@@ -66,37 +67,14 @@ class WeightFunction:
         if not set(self.v) <= {0, 1}:
             raise ValueError("v entries must be bits")
 
-    def to_symmetric(self) -> SymmetricFunction:
-        """General form: the class with counts (n - j, j) has weight j."""
-        return SymmetricFunction(2, self.n,
-                                 tuple(self.v[self.n - c] for c in range(self.n + 1)))
 
-
-@dataclass(frozen=True)
-class AnfVector:
-    """Coefficients lam[0..n]: the function is the XOR of the elementary
-    symmetric forms of each degree d with lam[d] = 1."""
-
-    n: int
-    lam: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.lam) != self.n + 1:
-            raise ValueError("lam must have n + 1 entries")
-        if not set(self.lam) <= {0, 1}:
-            raise ValueError("lam entries must be bits")
-
-
-def _count_vectors(p: int, n: int) -> tuple[tuple[int, ...], ...]:
-    def rec(parts: int, total: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in rec(parts - 1, total - first):
-                yield (first,) + rest
-
-    return tuple(rec(p, n))
+def _count_vectors(p: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The count vectors of p symbols summing to n, lexicographically
+    ascending, by stars and bars: a non-decreasing choice of p - 1 cut
+    points in 0..n splits the n stars into p runs, and the cuts come in
+    lex order exactly when the run lengths do."""
+    for cuts in combinations_with_replacement(range(n + 1), p - 1):
+        yield tuple(map(sub, cuts + (n,), (0,) + cuts))
 
 
 def enumerate_classes(p: int, n: int) -> list[MultisetClass]:
@@ -106,26 +84,6 @@ def enumerate_classes(p: int, n: int) -> list[MultisetClass]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return [MultisetClass(p, n, c) for c in _count_vectors(p, n)]
-
-
-def balance_histogram(f: SymmetricFunction) -> tuple[int, ...]:
-    """Exact input count per output value."""
-    hist = [0] * f.p
-    for cls, val in zip(enumerate_classes(f.p, f.n), f.values):
-        hist[val] += cls.size()
-    return tuple(hist)
-
-
-def is_balanced(f: SymmetricFunction) -> bool:
-    """True when every output value is hit by exactly p^(n-1) inputs.
-
-    The full histogram is always computed (no early exit) so callers can
-    reuse it for reporting.
-    """
-    if f.n < 1:
-        raise ValueError("balance is undefined for n = 0")
-    share = f.p ** (f.n - 1)
-    return all(count == share for count in balance_histogram(f))
 
 
 def check_degree(d: int, n: int) -> None:
@@ -221,28 +179,3 @@ def is_balanced_elem(d: int, n: int) -> bool:
     """Balance of the elementary form (see balance_in_row)."""
     check_degree(d, n)
     return balance_in_row(d, pascal_row(n))[1]
-
-
-def _domination_transform(bits: tuple[int, ...]) -> tuple[int, ...]:
-    """out(i) = XOR of bits(j) over all j dominated by i; over GF(2) this
-    transform is its own inverse.  Computed in place by the subset-XOR
-    butterfly: one pass per bit b folds entry i ^ b into each i holding b."""
-    out = list(bits)
-    b = 1
-    while b < len(out):
-        for i in range(b, len(out)):
-            if i & b:
-                out[i] ^= out[i ^ b]
-        b <<= 1
-    return tuple(out)
-
-
-def values_from_anf(anf: AnfVector) -> WeightFunction:
-    """v(i) = XOR of lam(j) over all j dominated by i."""
-    return WeightFunction(anf.n, _domination_transform(anf.lam))
-
-
-def anf_from_values(wf: WeightFunction) -> AnfVector:
-    """lam(i) = XOR of v(j) over all j dominated by i (the inverse of
-    values_from_anf)."""
-    return AnfVector(wf.n, _domination_transform(wf.v))

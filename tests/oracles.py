@@ -146,6 +146,21 @@ def symmetric_classes(p, n):
     return classes
 
 
+def output_histogram(p, n, values):
+    """Input count per output value of the symmetric function taking
+    values[k] on the k-th count vector in ascending lex order, tallied one
+    input at a time over all p^n inputs."""
+    def counts(x):
+        return tuple(x.count(s) for s in range(p))
+
+    vectors = sorted({counts(x) for x in product(range(p), repeat=n)})
+    index = {vec: k for k, vec in enumerate(vectors)}
+    hist = [0] * p
+    for x in product(range(p), repeat=n):
+        hist[values[index[counts(x)]]] += 1
+    return tuple(hist)
+
+
 def count_balanced_symmetric_enumerate(p, n):
     """Count balanced symmetric functions by trying every assignment of
     output values to multiset classes."""

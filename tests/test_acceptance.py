@@ -14,22 +14,20 @@ import mpmath
 
 import oracles
 from symbalance import (
-    MVector,
     PRECISION_BITS,
+    all_orbits_divisible,
     binom,
     brute_count_balanced_symmetric,
-    check_antisymmetry,
     conjecture1_mismatches,
     conjecture2_violations,
     count_balanced_all,
     elem_values,
-    enumerate_mvectors,
     find_all_solutions,
     is_sac_elem,
     lacunary_sums,
     lacunary_trig_sums,
     lower_bound_balanced,
-    orbit_size,
+    multinomial,
     round_real,
     scan_conjecture1,
     scan_conjecture2,
@@ -106,7 +104,7 @@ def test_criterion_4_spectral_identities():
             ok &= sum(binom(n, y) * v * v
                       for y, v in enumerate(by_weight)) == parseval
             if d % 2 == 1:
-                ok &= check_antisymmetry(d, n)
+                ok &= all(by_weight[y] == -by_weight[n - y] for y in range(1, n))
                 if d >= 3 and is_sac_elem(d, n):
                     ok &= weight_elem(d, n) == 1 << (n - 2)
     report("criterion 4: Krawtchouk Walsh values equal brute force for "
@@ -169,17 +167,20 @@ def test_criterion_7_lacunary_round_trip():
 
 def test_criterion_8_orbit_divisibility():
     ok = True
+    # Each orbit's multiplicity vector, read off the oracle's classes; the
+    # orbit holds p! / prod m_l! classes.
     for p in (2, 3, 5, 7):
         for n in range(1, 13):
-            mvs = enumerate_mvectors(p, n)
-            for mv in mvs:
-                if max(mv.m) < p:
-                    ok &= orbit_size(mv) % p == 0
+            mvs = oracles.multiplicity_vectors(p, n)
+            for m in mvs:
+                if max(m) < p:
+                    ok &= multinomial(p, m) % p == 0
             if math.gcd(n, p) == 1:
-                ok &= all(max(mv.m) < p for mv in mvs)
-    remark = MVector(7, 7, (3, 2, 1, 1, 0, 0, 0, 0))
-    ok &= orbit_size(remark) == 420
-    ok &= orbit_size(remark) % 7 == 0
+                ok &= all(max(m) < p for m in mvs)
+            ok &= all_orbits_divisible(p, n) == (math.gcd(n, p) == 1)
+    remark = (3, 2, 1, 1, 0, 0, 0, 0)
+    ok &= multinomial(7, remark) == 420
+    ok &= multinomial(7, remark) % 7 == 0
     report("criterion 8: orbit sizes divisible by p whenever every "
            "multiplicity is below p (p in {2,3,5,7}, n <= 12); the "
            "(3,2,1,1) instance gives orbit 420 with 7 | 420", bool(ok))

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symbalance import bisection
-from symbalance.bisection import (
-    SignVector,
-    bisection_from_solution,
-    count_trivial,
-    find_all_solutions,
-    is_trivial,
-    signed_sum,
-)
+from symbalance.bisection import SignVector, count_trivial, find_all_solutions
 from symbalance.errors import BudgetError
 from symbalance.symfun import is_balanced_elem
 
@@ -62,41 +55,29 @@ def test_n_zero_has_no_solutions():
 def test_trivial_solutions_are_solutions():
     # even n: the alternating signings; odd n: antisymmetric signings
     for n in (6, 12):
-        alt = tuple((-1) ** i for i in range(n + 1))
-        assert signed_sum(SignVector(n, alt)) == 0
-        assert is_trivial(SignVector(n, alt))
-        neg = tuple(-x for x in alt)
-        assert is_trivial(SignVector(n, neg))
+        for sign in (-1, 1):
+            assert sum(sign * (-1) ** i * math.comb(n, i) for i in range(n + 1)) == 0
     for n in (5, 9):
         for half in product((-1, 1), repeat=(n + 1) // 2):
             delta = half + tuple(-half[n - i] for i in range((n + 1) // 2, n + 1))
-            sv = SignVector(n, delta)
-            assert signed_sum(sv) == 0
-            assert is_trivial(sv)
-
-
-def test_is_trivial_rejects_non_solutions():
-    with pytest.raises(ValueError):
-        is_trivial(SignVector(4, (1, 1, 1, 1, 1)))
+            assert sum(d * math.comb(n, i) for i, d in enumerate(delta)) == 0
 
 
 def test_trivial_count_matches_enumeration():
+    # all solutions, less the nontrivial ones the product oracle lists
     for n in range(1, 13):
-        found = 0
-        row = [math.comb(n, i) for i in range(n + 1)]
-        for signs in product((-1, 1), repeat=n + 1):
-            if sum(s * c for s, c in zip(signs, row)) == 0:
-                found += is_trivial(SignVector(n, signs))
-        assert found == count_trivial(n)
+        nontrivial = sum(1 for _ in oracles.nontrivial_bisections_lex(n))
+        assert oracles.bisection_count_literal(n) - nontrivial == count_trivial(n)
 
 
 def test_witness_properties():
     report = find_all_solutions(14, enumerate_witnesses=True)
     assert report.witnesses is not None
     assert len(report.witnesses) == report.nontrivial == 12
+    alt = tuple((-1) ** i for i in range(15))
     for sv in report.witnesses:
-        assert signed_sum(sv) == 0
-        assert not is_trivial(sv)
+        assert sum(d * math.comb(14, i) for i, d in enumerate(sv.delta)) == 0
+        assert sv.delta not in (alt, tuple(-d for d in alt))
     # lex order with -1 before +1, and no duplicates
     deltas = [sv.delta for sv in report.witnesses]
     assert deltas == sorted(deltas)
@@ -107,12 +88,15 @@ def test_witnesses_match_literal_enumeration():
     # odd n has 2^((n+1)/2) trivial solutions to skip, even n two
     for n in range(1, 15):
         row = [math.comb(n, i) for i in range(n + 1)]
+        alt = tuple((-1) ** i for i in range(n + 1))
         expected = []
         for signs in product((-1, 1), repeat=n + 1):
-            if sum(s * c for s, c in zip(signs, row)) == 0:
-                sv = SignVector(n, signs)
-                if not is_trivial(sv):
-                    expected.append(signs)
+            if n % 2:
+                trivial = signs == tuple(-d for d in reversed(signs))
+            else:
+                trivial = signs in (alt, tuple(-d for d in alt))
+            if sum(s * c for s, c in zip(signs, row)) == 0 and not trivial:
+                expected.append(signs)
         report = find_all_solutions(n, enumerate_witnesses=True)
         assert [sv.delta for sv in report.witnesses] == expected
 
@@ -141,8 +125,7 @@ def test_witness_limit_takes_the_oracle_prefix(n, limit):
     witnesses = find_all_solutions(n, True, limit).witnesses
     assert [sv.delta for sv in witnesses] == oracle_witnesses(n)[:limit]
     for sv in witnesses:
-        assert signed_sum(sv) == 0
-        assert not is_trivial(sv)
+        assert sum(d * math.comb(n, i) for i, d in enumerate(sv.delta)) == 0
 
 
 def test_negative_witness_limit_is_refused_before_work(monkeypatch):
@@ -162,18 +145,17 @@ def test_balanced_elementary_forms_give_solutions():
     for n in range(1, 25):
         for d in range(1, n + 1):
             delta = tuple(1 - 2 * (math.comb(j, d) % 2) for j in range(n + 1))
-            solves = signed_sum(SignVector(n, delta)) == 0
+            solves = sum(s * math.comb(n, j) for j, s in enumerate(delta)) == 0
             assert solves == is_balanced_elem(d, n)
 
 
 def test_bisection_from_solution():
-    sv = SignVector(8, (1, -1, 1, -1, 1, -1, 1, -1, 1))
-    plus, minus = bisection_from_solution(sv)
-    assert set(plus) | set(minus) == set(range(9))
-    assert set(plus) & set(minus) == set()
-    assert sum(math.comb(8, i) for i in plus) == 1 << 7
-    with pytest.raises(ValueError):
-        bisection_from_solution(SignVector(4, (1, 1, 1, 1, 1)))
+    # the +1 positions of a solution carry half of the 2^n inputs
+    for n in (8, 13, 14):
+        for sv in find_all_solutions(n, enumerate_witnesses=True).witnesses:
+            plus = [i for i, d in enumerate(sv.delta) if d == 1]
+            assert sum(math.comb(n, i) for i in plus) == 1 << (n - 1)
+    assert sum(math.comb(8, i) for i in range(0, 9, 2)) == 1 << 7
 
 
 def test_sign_vector_validation():

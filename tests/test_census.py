@@ -1,29 +1,25 @@
 import math
-from collections import Counter
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 import pytest
 
 import oracles
 from symbalance.bisection import count_trivial
 from symbalance.census import (
-    MVector,
     _equal_partitions,
+    _multiplicities,
     _orbits,
+    _partitions,
     all_orbits_divisible,
     brute_count_balanced_symmetric,
-    check_divisibility,
     count_balanced_all,
     count_symmetric,
-    enumerate_mvectors,
     generate_balanced,
     lower_bound_balanced,
-    mvector_of,
-    orbit_size,
 )
 from symbalance.errors import BudgetError, OrbitSplitError
-from symbalance.exactnum import binom, exact_div
-from symbalance.symfun import enumerate_classes, is_balanced
+from symbalance.exactnum import binom, exact_div, multinomial
+from symbalance.symfun import enumerate_classes
 
 # balanced symmetric function counts, exhaustively verified
 BRUTE_COUNTS = {
@@ -106,41 +102,39 @@ def test_brute_count_budget():
         brute_count_balanced_symmetric(2, 0)
 
 
-def test_mvector_validation():
-    MVector(3, 4, (1, 1, 0, 1, 0))
-    MVector(3, 4, (0, 2, 1, 0, 0))
-    MVector(3, 4, (2, 0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        MVector(3, 4, (1, 1, 0, 1))  # wrong length
-    with pytest.raises(ValueError):
-        MVector(3, 4, (2, 1, 0, 0, 1))  # multiplicities sum to 4, not p
-    with pytest.raises(ValueError):
-        MVector(3, 4, (1, 1, 1, 0, 0))  # weighted sum 3, not n
+def _partition_of(m):
+    """The partition of the orbit with multiplicity vector m (m[l] symbols
+    appear exactly l times): each count l >= 1, m[l] times, descending."""
+    return tuple(l for l in reversed(range(1, len(m))) for _ in range(m[l]))
 
 
 def test_enumerate_mvectors_matches_filter():
+    # One orbit per partition: the partitions are those of every vector
+    # with sum p and weighted sum n, each once.
     for p in (2, 3, 5):
         for n in range(0, 6):
-            found = {mv.m for mv in enumerate_mvectors(p, n)}
+            found = list(_partitions(n, p))
             expected = {
-                m for m in product(range(p + 1), repeat=n + 1)
+                _partition_of(m) for m in product(range(p + 1), repeat=n + 1)
                 if sum(m) == p and sum(l * q for l, q in enumerate(m)) == n}
-            assert found == expected
+            assert len(found) == len(expected)
+            assert set(found) == expected
 
 
 def test_enumerate_mvectors_equals_the_grouped_classes_in_order():
-    # One vector per orbit, in the same sorted order as the oracle's vectors
-    # read off every class.
+    # One partition per orbit, in descending lex order, whose vectors are
+    # the oracle's vectors read off every class.
     for p, n_max in ((2, 16), (3, 12), (5, 8), (7, 6), (11, 5), (13, 5)):
         for n in range(n_max + 1):
-            found = enumerate_mvectors(p, n)
-            assert [mv.m for mv in found] == oracles.multiplicity_vectors(p, n)
-            assert all((mv.p, mv.n) == (p, n) for mv in found)
+            found = list(_partitions(n, p))
+            expected = sorted(map(_partition_of, oracles.multiplicity_vectors(p, n)),
+                              reverse=True)
+            assert found == expected
 
 
 def test_census_orbits_reach_large_n():
     # One partition per orbit, with no walk as deep as n.
-    assert len(enumerate_mvectors(2, 1001)) == 501
+    assert sum(1 for _ in _partitions(1001, 2)) == 501
     assert all_orbits_divisible(2, 4095)
     assert not all_orbits_divisible(3, 1002)
 
@@ -148,7 +142,7 @@ def test_census_orbits_reach_large_n():
 def test_census_orbits_refuse_a_bad_p_or_n():
     for p, n in ((4, 3), (1, 2), (2, -1), (3, -5)):
         with pytest.raises(ValueError):
-            enumerate_mvectors(p, n)
+            next(_partitions(n, p))
         with pytest.raises(ValueError):
             all_orbits_divisible(p, n)
         with pytest.raises(ValueError):
@@ -158,31 +152,43 @@ def test_census_orbits_refuse_a_bad_p_or_n():
 
 
 def test_mvector_of_partitions_classes():
-    # every class maps to one multiplicity vector; class counts per vector
-    # equal the orbit size, and sizes add up over the whole census
+    # The classes grouped by _orbits are the orbits of the partitions: each
+    # group's key is its partition, padded and reversed, and it holds the
+    # multinomial p! / prod m_l! of classes; the sizes add up to the census.
     for p, n in [(2, 6), (3, 5), (5, 4), (5, 10)]:
         classes = enumerate_classes(p, n)
-        grouped = Counter(mvector_of(cls) for cls in classes)
-        assert set(grouped) == set(enumerate_mvectors(p, n))
-        for mv, members in grouped.items():
-            assert members == orbit_size(mv)
-        assert sum(grouped.values()) == binom(p + n - 1, n)
+        orbits = _orbits(p, n)
+        by_partition = {}
+        for orbit in orbits:
+            keys = {tuple(sorted(classes[idx].counts, reverse=True)) for idx in orbit}
+            assert len(keys) == 1
+            (key,) = keys
+            by_partition[tuple(q for q in key if q)] = len(orbit)
+        assert sorted(by_partition, reverse=True) == list(_partitions(n, p))
+        for parts, members in by_partition.items():
+            assert members == multinomial(p, _multiplicities(parts, p))
+        assert sorted(idx for orbit in orbits for idx in orbit) == list(range(len(classes)))
+        assert len(classes) == binom(p + n - 1, n)
 
 
 def test_orbit_size_remark_instance():
-    mv = MVector(7, 7, (3, 2, 1, 1, 0, 0, 0, 0))
-    assert orbit_size(mv) == 420
-    assert 420 % 7 == 0
-    assert check_divisibility(mv)
+    # Counts (3, 2, 1, 1) over p = 7: multiplicities 3, 1, 1, 2, orbit 420.
+    assert _multiplicities((3, 2, 1, 1), 7) == [3, 1, 1, 2]
+    size = multinomial(7, _multiplicities((3, 2, 1, 1), 7))
+    assert size == 420
+    assert size % 7 == 0
+    assert (3, 2, 1, 1) in _partitions(7, 7)
 
 
 def test_divisibility_when_parts_small():
     # p divides the orbit size whenever no multiplicity reaches p
     for p in (2, 3, 5, 7):
         for n in range(0, 13):
-            for mv in enumerate_mvectors(p, n):
-                if max(mv.m) < p:
-                    assert check_divisibility(mv)
+            for parts in _partitions(n, p):
+                m = _multiplicities(parts, p)
+                assert sum(m) == p
+                if max(m) < p:
+                    assert multinomial(p, m) % p == 0
 
 
 def test_all_orbits_divisible_iff_p_ndivides_n():
@@ -232,13 +238,13 @@ def test_generate_balanced_full_run():
         assert len({f.values for f in fns}) == len(fns)
         for f in fns:
             assert f.p == p and f.n == n
-            assert is_balanced(f)
+            assert oracles.output_histogram(p, n, f.values) == (p ** (n - 1),) * p
 
 
 def test_generate_balanced_limit_and_laziness():
     first = list(generate_balanced(3, 4, limit=4))
     assert len(first) == 4
-    assert all(is_balanced(f) for f in first)
+    assert all(oracles.output_histogram(3, 4, f.values) == (27, 27, 27) for f in first)
     stream = generate_balanced(3, 4)
     assert [f.values for f in islice(stream, 4)] == [f.values for f in first]
 
@@ -267,6 +273,17 @@ def test_generate_balanced_walks_every_split_with_the_last_orbit_fastest(p, n):
                     values[idx] = value
         expected.append(tuple(values))
     assert [f.values for f in generate_balanced(p, n, limit=5000)] == expected
+
+
+@pytest.mark.parametrize("size, p", [(2, 2), (4, 2), (6, 2), (6, 3), (8, 2), (9, 3), (5, 5), (7, 7)])
+def test_equal_partitions_list_every_split_once_in_lex_order(size, p):
+    # Chunk every ordering of the members into p runs of equal size, each
+    # run sorted: the distinct results, sorted, are all the splits in order.
+    members = list(range(10, 10 + 3 * size, 3))
+    share = size // p
+    expected = sorted({tuple(tuple(sorted(order[k * share:(k + 1) * share])) for k in range(p))
+                       for order in permutations(members)})
+    assert list(_equal_partitions(members, p)) == expected
 
 
 def test_generated_functions_are_deterministic():

@@ -6,12 +6,14 @@ against frozen expectations; CSV output is checked byte-for-byte where
 the contract demands it.
 """
 
+import csv
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -229,13 +231,16 @@ def _check_generated(p, n, rows):
     (["generate", "2", "4095", "--limit", "1"], 1),
     # An orbit of 120 classes (counts 0, 1, 2, 3, 5) has about 10^79 splits.
     (["generate", "5", "11", "--limit", "2"], 2),
+    # One orbit of p classes, split into p groups of one class each.
+    (["generate", "997", "1"], 10),
+    (["generate", "4093", "1", "--limit", "2"], 2),
 ])
 def test_generate_at_many_orbits_and_huge_orbits(capsys, argv, count):
     code, out, err = run(capsys, argv + ["--format", "csv"])
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[0] == "index,values"
-    rows = [line.split(",", 1) for line in lines[1:]]
+    rows = list(csv.reader(lines[1:]))
     assert [int(index) for index, _ in rows] == list(range(count))
     p, n = int(argv[1]), int(argv[2])
     if p == 2:
@@ -245,6 +250,8 @@ def test_generate_at_many_orbits_and_huge_orbits(capsys, argv, count):
         assert sum(math.comb(n, i) for i in range((n + 1) // 2)) == 1 << (n - 1)
     else:
         _check_generated(p, n, [values for _, values in rows])
+    if n == 1:
+        assert rows[0][1] == ",".join(map(str, range(p)))
 
 
 # ---------------------------------------------------------------- scans
@@ -437,6 +444,28 @@ def test_count_refuses_before_the_product_of_binomials(monkeypatch, capsys):
     code, out, err = run(capsys, ["count", "3", "12"])
     assert (code, out) == (65, "")
     assert err == "error: assignment space p^91 exceeds the 2^96 cap\n"
+
+
+@pytest.mark.parametrize("p", [65537, 1048573])
+def test_count_refuses_a_large_p_before_computing(monkeypatch, capsys, p):
+    # p^n <= 2^20, but the census DP's budget refuses; p^p is never formed.
+    def forbidden(p, n):
+        raise AssertionError("count_symmetric ran before the budget check")
+
+    monkeypatch.setattr(cli, "count_symmetric", forbidden)
+    started = time.perf_counter()
+    result = run(capsys, ["count", str(p), "1"])
+    assert time.perf_counter() - started < 1
+    assert result == (65, "", f"error: assignment space p^{p} exceeds the 2^96 cap\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "2", "-1"], "n must be non-negative"),
+    (["count", "2", "0"], "balance needs n >= 1"),
+    (["count", "4", "3"], "p=4 is not prime"),
+])
+def test_count_domain_errors_keep_their_messages(capsys, argv, message):
+    assert run(capsys, argv) == (64, "", f"error: {message}\n")
 
 
 def test_all_residue_lacunary_budget_at_the_cap(capsys):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import mpmath
 import pytest
 
@@ -9,16 +7,14 @@ from symbalance.conjectures import (
     ScanCell,
     conjecture1_mismatches,
     conjecture2_violations,
-    correction_sign_check,
     predicted_balanced,
-    quarter_weight_holds,
     scan_conjecture1,
     scan_conjecture2,
     weight_trig_wt2,
     weight_trig_wt3,
 )
 from symbalance.errors import BudgetError
-from symbalance.exactnum import round_real, sign_sinpi
+from symbalance.exactnum import round_real
 from symbalance.symfun import is_balanced_elem, weight_elem
 
 
@@ -93,14 +89,14 @@ def test_violation_helpers_catch_planted_cells():
 
 
 def test_quarter_weight_family():
-    assert quarter_weight_holds(1, 1)   # wt(X(3,4)) = 4
-    assert quarter_weight_holds(1, 2)   # wt(X(3,8)) = 64
-    assert quarter_weight_holds(2, 1)   # wt(X(5,8)) = 64
+    # X(2^t + 1, 2^(t+1) l) has weight exactly 2^(n-2)
+    assert weight_elem(3, 4) == 4
+    assert weight_elem(3, 8) == 64
+    assert weight_elem(5, 8) == 64
     for t in (1, 2, 3):
         for ell in range(1, 5):
-            assert quarter_weight_holds(t, ell)
-    with pytest.raises(ValueError):
-        quarter_weight_holds(0, 1)
+            n = (1 << (t + 1)) * ell
+            assert weight_elem((1 << t) + 1, n) == 1 << (n - 2)
 
 
 def test_weight_trig_wt2_anchors():
@@ -161,26 +157,33 @@ def test_weight_trig_wt3_validation():
 
 
 def test_correction_sign_check():
-    assert correction_sign_check(1, 2)
-    assert correction_sign_check(1, 4)
-    assert correction_sign_check(2, 3)
+    # The correction T of weight_trig_wt2 for m = r + 2^(t+1) variables,
+    # T = 2^t (w - 2^(m-2)) with w = wt(X(2^t + 1, m)), carries the sign of
+    # sin(r pi / 2^(t+1)): zero when 2^(t+1) divides r, else positive
+    # exactly when r mod 2^(t+2) is below 2^(t+1).
     for t in range(1, 5):
-        for r in range(0, 3 * (1 << (t + 1))):
-            assert correction_sign_check(t, r)
+        half = 1 << (t + 1)
+        for r in range(0, 3 * half):
+            m = r + half
+            excess = weight_elem((1 << t) + 1, m) - (1 << (m - 2))
+            sign = 0 if r % half == 0 else 1 if r % (2 * half) < half else -1
+            assert (excess > 0) - (excess < 0) == sign
 
 
 def test_correction_sign_check_uses_the_exact_sign():
-    # A fixed 1e-6 * 2^m zero cutoff failed on 155 of the cells with t <= 5
-    # and r < 200, the first at (t, r) = (1, 35).
-    assert correction_sign_check(1, 35)
-    assert all(correction_sign_check(t, r) for t in range(1, 8) for r in range(400))
-    # The identity behind it, T = 2^t (w - 2^(m-2)), with w from math.comb.
-    for t in range(1, 6):
+    # A fixed 1e-6 * 2^m zero cutoff on T failed on 155 of the cells with
+    # t <= 5 and r < 200, the first at (t, r) = (1, 35); the exact sign of
+    # w - 2^(m-2) holds on all of them, with w from weight_elem and from
+    # math.comb.
+    for t in range(1, 8):
         half = 1 << (t + 1)
-        for r in range(200):
+        for r in range(400):
             m = r + half
-            excess = oracles.elem_weight_dominating((1 << t) + 1, m) - (1 << (m - 2))
-            assert (excess > 0) - (excess < 0) == sign_sinpi(Fraction(r, half))
+            excess = weight_elem((1 << t) + 1, m) - (1 << (m - 2))
+            sign = 0 if r % half == 0 else 1 if r % (2 * half) < half else -1
+            assert (excess > 0) - (excess < 0) == sign
+            if t <= 5 and r < 200:
+                assert oracles.elem_weight_dominating((1 << t) + 1, m) - (1 << (m - 2)) == excess
 
 
 def test_quarter_weight_only_at_zero_residue():

@@ -22,7 +22,6 @@ from symbalance.exactnum import (
     pascal_row,
     pascal_rows,
     round_real,
-    sign_sinpi,
     sinpi_frac,
 )
 
@@ -144,15 +143,6 @@ def test_trig_helpers_exact_points():
     assert cospi_frac(Fraction(7, 2)) == 0
     assert abs(sinpi_frac(Fraction(1, 2)) - 1) == 0
     assert cospi_frac(Fraction(2)) == 1
-
-
-def test_sign_sinpi():
-    assert sign_sinpi(Fraction(0)) == 0
-    assert sign_sinpi(Fraction(5)) == 0
-    assert sign_sinpi(Fraction(1, 4)) == 1
-    assert sign_sinpi(Fraction(5, 4)) == -1
-    assert sign_sinpi(Fraction(-1, 4)) == -1
-    assert sign_sinpi(Fraction(9, 4)) == 1
 
 
 def test_compensated_sum_cancellation():

@@ -1,17 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from symbalance.exactnum import binom
-from symbalance.spectral import (
-    check_antisymmetry,
-    check_half_sums,
-    half_square_sums,
-    is_sac_elem,
-    walsh_spectrum,
-    walsh_symmetric,
-)
+from symbalance.spectral import is_sac_elem, walsh_spectrum
 from symbalance.symfun import WeightFunction, elem_values, weight_elem
 
 
@@ -92,7 +87,6 @@ def test_walsh_spectrum_matches_krawtchouk_sums_on_any_function(n, data):
     ys = data.draw(st.lists(st.integers(min_value=0, max_value=n), min_size=1, max_size=3))
     columns = [[oracles.krawtchouk(k, y, n) for k in range(n + 1)] for y in ys]
     assert tuple(spec[y] for y in ys) == _krawtchouk_sums(bits, columns)
-    assert walsh_symmetric(wf, ys[0]) == spec[ys[0]]
 
 
 @pytest.mark.parametrize("n", range(1, 65))
@@ -122,14 +116,14 @@ def test_sac_known_cells():
 
 
 def test_antisymmetry_odd_degrees():
-    assert check_antisymmetry(3, 6)
-    assert check_antisymmetry(5, 9)
-    assert check_antisymmetry(1, 4)
+    # odd degree d: W(y) = -W(n - y) for 0 < y < n (the all-zero and
+    # all-one masks are exempt); even degrees break it
     for n in range(1, 15):
         for d in range(1, n + 1, 2):
-            assert check_antisymmetry(d, n)
-    with pytest.raises(ValueError):
-        check_antisymmetry(2, 6)
+            spec = walsh_spectrum(elem_values(d, n)).by_weight
+            assert all(spec[y] == -spec[n - y] for y in range(1, n))
+    spec = walsh_spectrum(elem_values(2, 6)).by_weight
+    assert not all(spec[y] == -spec[6 - y] for y in range(1, 6))
 
 
 def test_sac_odd_degree_consequences():
@@ -145,17 +139,20 @@ def test_sac_odd_degree_consequences():
 
 
 def test_half_square_sums():
-    assert check_half_sums(elem_values(3, 4))
-    assert check_half_sums(elem_values(2, 4))
-    lo, hi = half_square_sums(elem_values(3, 4))
-    assert lo == hi == 1 << 7
+    # Sums of W(w)^2 over the half-spaces w_n = 0 and w_n = 1: of the masks
+    # of weight y, C(n-1, y) have w_n = 0 and C(n-1, y-1) have w_n = 1.  The
+    # avalanche criterion makes both 2^(2n-1).
     constant_zero = WeightFunction(4, (0, 0, 0, 0, 0))
-    assert not check_half_sums(constant_zero)
-    lo, hi = half_square_sums(constant_zero)
-    assert lo + hi == 1 << 8  # Parseval still holds; the split is lopsided
+    squares = [v * v for v in walsh_spectrum(constant_zero).by_weight]
+    lo = sum(math.comb(3, y) * sq for y, sq in enumerate(squares))
+    hi = sum(math.comb(3, y - 1) * sq for y, sq in enumerate(squares) if y)
+    assert (lo, hi) == (1 << 8, 0)  # Parseval still holds; the split is lopsided
     # no size cap: X(2, n) satisfies the criterion for every n, X(3, 20) too
-    for d, n in ((2, 17), (3, 20), (2, 64)):
-        assert check_half_sums(elem_values(d, n))
+    for d, n in ((3, 4), (2, 4), (2, 17), (3, 20), (2, 64)):
+        squares = [v * v for v in walsh_spectrum(elem_values(d, n)).by_weight]
+        lo = sum(math.comb(n - 1, y) * sq for y, sq in enumerate(squares))
+        hi = sum(math.comb(n - 1, y - 1) * sq for y, sq in enumerate(squares) if y)
+        assert lo == hi == 1 << (2 * n - 1)
 
 
 def test_half_square_sums_match_all_mask_oracle():
@@ -163,13 +160,20 @@ def test_half_square_sums_match_all_mask_oracle():
         for d in range(1, n + 1):
             by_mask = oracles.walsh_all(_table(elem_values(d, n)))
             half = 1 << (n - 1)
-            lo = sum(w * w for w in by_mask[:half])
-            hi = sum(w * w for w in by_mask[half:])
-            assert half_square_sums(elem_values(d, n)) == (lo, hi)
+            squares = [v * v for v in walsh_spectrum(elem_values(d, n)).by_weight]
+            assert sum(w * w for w in by_mask[:half]) == \
+                sum(math.comb(n - 1, y) * sq for y, sq in enumerate(squares))
+            assert sum(w * w for w in by_mask[half:]) == \
+                sum(math.comb(n - 1, y - 1) * sq for y, sq in enumerate(squares) if y)
 
 
 def test_half_sums_hold_for_every_sac_cell():
+    # every cell the reduction calls SAC has both half-space sums 2^(2n-1)
     for n in range(2, 13):
         for d in range(2, n + 1):
             if is_sac_elem(d, n):
-                assert check_half_sums(elem_values(d, n))
+                squares = [v * v for v in walsh_spectrum(elem_values(d, n)).by_weight]
+                assert sum(math.comb(n - 1, y) * sq for y, sq in enumerate(squares)) == \
+                    1 << (2 * n - 1)
+                assert sum(math.comb(n - 1, y - 1) * sq
+                           for y, sq in enumerate(squares) if y) == 1 << (2 * n - 1)

@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 import oracles
 from symbalance.exactnum import binom
 from symbalance.symfun import (
-    AnfVector,
     MultisetClass,
     SymmetricFunction,
     WeightFunction,
-    anf_from_values,
-    balance_histogram,
     elem_values,
     enumerate_classes,
-    is_balanced,
     is_balanced_elem,
-    values_from_anf,
     weight_elem,
     weight_in_row,
 )
@@ -39,12 +34,15 @@ def test_enumerate_classes_rejects_composite():
 
 
 def test_class_sizes_match_oracle():
-    for p, n in [(2, 5), (3, 4), (5, 3)]:
+    # every class once, lexicographically ascending on count vectors
+    for p, n in [(2, 5), (3, 4), (5, 3), (7, 3), (89, 2), (983, 1)]:
         expected = {}
         for combo, size in oracles.symmetric_classes(p, n):
             counts = tuple(combo.count(s) for s in range(p))
             expected[counts] = size
-        for cls in enumerate_classes(p, n):
+        classes = enumerate_classes(p, n)
+        assert [cls.counts for cls in classes] == sorted(expected)
+        for cls in classes:
             assert cls.size() == expected[cls.counts]
 
 
@@ -65,14 +63,6 @@ def test_dominated():
     assert oracles.dominated(8, 12)
     with pytest.raises(ValueError):
         oracles.dominated(-1, 3)
-
-
-def test_weight_function_to_symmetric():
-    wf = elem_values(2, 3)
-    f = wf.to_symmetric()
-    # counts (3 - j, j) list the weight-j class; lex order puts weight 3 first
-    assert f.values == tuple(wf.v[3 - c] for c in range(4))
-    assert balance_histogram(f) == (8 - weight_elem(2, 3), weight_elem(2, 3))
 
 
 def test_weight_elem_frozen_values():
@@ -162,22 +152,15 @@ def test_odd_degree_above_one_never_balanced():
 
 
 def test_balance_of_general_symmetric_function():
-    # with n = 2 over GF(3): classes and sizes pin down the histogram
+    # with n = 2 over GF(3): the class sizes, added per output value, give
+    # the input count of every value, tallied input by input
     classes = enumerate_classes(3, 2)
     sizes = [c.size() for c in classes]
     for values in product(range(3), repeat=len(classes)):
-        f = SymmetricFunction(3, 2, values)
         hist = [0, 0, 0]
         for v, s in zip(values, sizes):
             hist[v] += s
-        assert balance_histogram(f) == tuple(hist)
-        assert is_balanced(f) == all(h == 3 for h in hist)
-
-
-def test_is_balanced_rejects_n_zero():
-    f = SymmetricFunction(2, 0, (0,))
-    with pytest.raises(ValueError):
-        is_balanced(f)
+        assert oracles.output_histogram(3, 2, values) == tuple(hist)
 
 
 def test_symmetric_function_validation():
@@ -196,32 +179,32 @@ def test_weight_function_validation():
 
 @given(st.integers(min_value=1, max_value=16), st.data())
 def test_anf_round_trip(n, data):
-    bits = data.draw(st.lists(st.sampled_from((0, 1)), min_size=n + 1, max_size=n + 1))
-    wf = WeightFunction(n, tuple(bits))
-    assert values_from_anf(anf_from_values(wf)) == wf
-    anf = AnfVector(n, tuple(bits))
-    assert anf_from_values(values_from_anf(anf)) == anf
+    # The ANF transform over GF(2) is its own inverse, and it takes X(d, n)
+    # to the single coefficient d and back.
+    bits = tuple(data.draw(st.lists(st.sampled_from((0, 1)), min_size=n + 1, max_size=n + 1)))
+    assert oracles.domination_xor(oracles.domination_xor(bits)) == bits
+    d = data.draw(st.integers(min_value=1, max_value=n))
+    unit = tuple(int(j == d) for j in range(n + 1))
+    assert oracles.domination_xor(unit) == elem_values(d, n).v
 
 
 def test_domination_transform_matches_pairwise_oracle():
-    # one seeded bit vector per n <= 300, through both directions and back
+    # v(j) = C(j, d) mod 2 is the XOR over the monomial degrees j dominates,
+    # here only d: the pairwise oracle on the unit vector at d gives the
+    # values of X(d, n) for seeded d <= n = 300 and every power of two.
     rng = random.Random(0)
-    for n in range(301):
-        bits = tuple(rng.getrandbits(1) for _ in range(n + 1))
-        expected = oracles.domination_xor(bits)
-        assert values_from_anf(AnfVector(n, bits)).v == expected
-        assert anf_from_values(WeightFunction(n, bits)).lam == expected
-        assert anf_from_values(values_from_anf(AnfVector(n, bits))).lam == bits
-        assert values_from_anf(anf_from_values(WeightFunction(n, bits))).v == bits
+    n = 300
+    for d in sorted({1 << t for t in range(9)} | set(rng.sample(range(1, n + 1), 24))):
+        unit = tuple(int(j == d) for j in range(n + 1))
+        assert elem_values(d, n).v == oracles.domination_xor(unit)
 
 
 def test_anf_of_elementary_form_is_single_coefficient():
     # X(d, n) has ANF vector with a single 1 in position d
     for n in range(1, 11):
         for d in range(1, n + 1):
-            anf = anf_from_values(elem_values(d, n))
             expected = tuple(1 if j == d else 0 for j in range(n + 1))
-            assert anf.lam == expected
+            assert oracles.domination_xor(elem_values(d, n).v) == expected
 
 
 def test_elem_values_match_parity():
