@@ -54,9 +54,11 @@ GENERATE_MAX_CLASSES = 4096
 LACUNARY_MAX_N = 4096
 LACUNARY_MAX_POWER = 12
 # Work of an all-residue lacunary call, M^2/2 * (2n + 2 power + 32) for
-# M = 2^power: M/2 + 1 angle sums of M/2 products each, on ints of about
-# 2n + 2 power + 32 bits.  At the cap (exactly lacunary 2358 10, 569 11 or
-# 121 12) a call took 0.9-2.4 s on a shared 2-core Xeon with CPython 3.11.
+# M = 2^power: M/2 + 1 angle sums of at most M/2 products each, on ints of
+# about 2n + 2 power + 32 bits.  At the cap (exactly lacunary 2358 10,
+# 569 11 or 121 12) a call took 1.59-1.78, 0.76-0.81 and 1.07-1.14 s in
+# turn (best and worst of 3 in one process, csv output) on a shared 2-core
+# Xeon with CPython 3.11.
 LACUNARY_ALL_MAX_WORK = 149 << 24
 
 
@@ -156,10 +158,24 @@ def _bisect_summary(n: int, total: int, trivial: int, nontrivial: int) -> str:
     return f"n={n}: {total} solutions ({trivial} trivial, {nontrivial} nontrivial)"
 
 
+def _over_count_cap(p: int, n: int) -> bool:
+    """p^n > COUNT_MAX_INPUTS, decided without forming a large power:
+    for |p| >= 2, |p|^n >= 2^(n (bits - 1)), past the cap 2^20 once
+    n (bits - 1) >= 21, and p^n is then over it when it is positive.
+    For n < 1 it is never over (nor 0^n formed, which fails for n < 0)."""
+    if n < 1:
+        return False
+    if abs(p) < 2 or n * (abs(p).bit_length() - 1) < 21:
+        return p ** n > COUNT_MAX_INPUTS
+    return p > 0 or n % 2 == 0
+
+
 def _cmd_count(args) -> CommandResult:
-    if args.p ** args.n > COUNT_MAX_INPUTS:
-        raise BudgetError(
-            f"p^n={args.p ** args.n} exceeds the counting cap {COUNT_MAX_INPUTS}")
+    if _over_count_cap(args.p, args.n):
+        # The decimal of p^n alone takes seconds at n = 10^6.
+        inputs = (args.p ** args.n if args.n * args.p.bit_length() <= 14000
+                  else f"{args.p}^{args.n}")
+        raise BudgetError(f"p^n={inputs} exceeds the counting cap {COUNT_MAX_INPUTS}")
     # The census DP checks p, n and its budget before any work, with the
     # same messages as count_symmetric, so it runs first: at p = 65537 the
     # decimal of p^p alone takes seconds.

@@ -93,10 +93,36 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
+# Strong probable-prime tests to these bases decide primality exactly
+# below _SPRP_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86, 2017).
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPRP_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality; inputs here are small moduli."""
+    """Primality, exactly.  Below 2^20 by trial division; from 2^20 up to
+    3,317,044,064,679,887,385,961,981 by strong probable-prime tests to
+    the first 13 prime bases, which no composite there passes; above
+    that, by trial division again, which takes time of order sqrt(p)."""
     if p < 2:
         return False
+    if 1 << 20 <= p < _SPRP_EXACT_BELOW:
+        if p % 2 == 0:
+            return False
+        d, s = p - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in _SPRP_BASES:
+            x = pow(a, d, p)
+            if x == 1 or x == p - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % p
+                if x == p - 1:
+                    break
+            else:
+                return False
+        return True
     if p < 4:
         return True
     if p % 2 == 0:
@@ -183,8 +209,8 @@ def _lacunary_precision(n: int, power: int) -> int:
 
 
 def _lacunary_error_bound(n: int, power: int) -> Fraction:
-    """The bound E = (n + 1) 2^(n + power + 3 - P) of _lacunary_fixed."""
-    return Fraction(n + 1, 1 << (_lacunary_precision(n, power) - n - power - 3))
+    """The bound E = (2n + 1) 2^(n + power + 2 - P) of _lacunary_fixed."""
+    return Fraction(2 * n + 1, 1 << (_lacunary_precision(n, power) - n - power - 2))
 
 
 def _cos_sin_pi(power: int, prec: int) -> tuple[int, int]:
@@ -201,6 +227,41 @@ def _cos_sin_pi(power: int, prec: int) -> tuple[int, int]:
     s = math.isqrt((one - c) * (one + c))
     half = 1 << (guard - 1)
     return (c + half) >> guard, (s + half) >> guard
+
+
+def _lacunary_terms(n: int, power: int) -> tuple[list[int], list[int]]:
+    """Steps 1-4 of _lacunary_fixed: the table cos(k pi/M) for
+    0 <= k <= M/2 scaled by 2^P, and b_j^n for j = 1, 2, ... scaled by
+    2^(P - n), up to the tail cut, which drops the rest of j < M/2."""
+    mod = 1 << power
+    half = mod >> 1
+    prec = _lacunary_precision(n, power)
+    c1, s1 = _cos_sin_pi(power, prec)
+    cosines, sines = [1 << prec], [0]
+    c, s = 1 << prec, 0
+    for _ in range(mod >> 2):
+        c, s = (c * c1 - s * s1) >> prec, (s * c1 + c * s1) >> prec
+        cosines.append(c)
+        sines.append(s)
+    # cos(k pi/M) = sin((M/2 - k) pi/M) for M/4 < k <= M/2.
+    quarter = cosines + sines[half - len(cosines)::-1]
+    # The tail budget T and the error of each power, in units of 2^(n - P).
+    budget = (n + 1) << (2 * power + 1)
+    slack = 3 * n * mod // 2 + 4 * n.bit_length() + 1
+    bits = bin(n)[3:]
+    powers = []
+    for j in range(1, half):
+        base = 2 * quarter[j]
+        y = base
+        for bit in bits:
+            y = y * y >> prec
+            if bit == "1":
+                y = y * base >> prec
+        y >>= n
+        powers.append(y)
+        if 3 * j >= mod and (half - 1 - j) * (y + slack) <= budget:
+            break
+    return quarter, powers
 
 
 def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, list[int]]:
@@ -222,28 +283,42 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
        sqrt(1 - x^2), cot(pi/M) < M/2, and truncation adds one unit, so s
        is off by less than 0.78 M + 1 units of 2^-R, that is below u/128
        (M >= 2).  Rounding each to P bits adds at most u/2, so the pair is
-       within u.
-    2. cos(k pi/M) for 0 <= k <= M/2 comes from k rotations by that pair,
-       each truncated.  A rotation keeps the error already made, and the
-       errors of the pair and of the truncation add less than 3u, so
-       entry k is within 3k u <= 1.5 M u.
-       Every angle j (n - 2i) pi / M folds into this table by exact sign
-       and symmetry.
+       within u/2 + u/128.
+    2. The quarter-wave table: (cos, sin)(k pi/M) for 0 <= k <= M/4 comes
+       from k rotations by that pair, each truncated, and
+       cos((M/2 - k) pi/M) = sin(k pi/M) fills the table up to k = M/2.
+       Measured on c + i s, a rotation scales the error already made by
+       at most 1 + u and adds less than 3u (the pair is within 0.73u, each
+       truncation within sqrt(2) u), so entry k is within 3k u <= 0.75 M u
+       (M >= 4; at M = 2 the table 1, 0 is exact).  Every angle
+       j (n - 2i) pi / M folds into this table by exact sign and symmetry.
     3. b_j^n comes from square-and-multiply on the truncated base, whose
-       error is at most 3 M u.  With |b_j| < 2, each product multiplies
-       the relative error factors and truncation adds u, so after at most
-       2L products (L = n.bit_length()) the error is at most
-       2^n ((1 + 1.5 M u)^n (1 + u)^(2L) - 1) <= 2^n (3 n M + 4 L) u.
-       Dropping the n lowest bits then adds less than 2^n u.
-    4. Each residue sums the M/2 - 1 products exactly.  A product is off
-       by at most 2^n (3 n M + 4 L + 1) u (1 + 1.5 M u) + 2^n 1.5 M u,
-       and the sum is scaled by 2^(1 - power) = 2/M, so
+       error is at most 1.5 M u.  Measured against the majorant 2^m of
+       b_j^m, each product multiplies the relative error factors and
+       truncation adds u, so after at most 2L products
+       (L = n.bit_length()) the error is at most
+       2^n ((1 + 0.75 M u)^n (1 + u)^(2L) - 1) <= 2^n (1.5 n M + 4 L) u.
+       Dropping the n lowest bits then adds less than 2^n u, so each kept
+       y_j is within K = 2^n (1.5 n M + 4 L + 1) u of b_j^n.
+    4. The tail cut.  On 0 < j < M/2, b_j is positive and decreasing.  The
+       powers stop at the first j with 3j >= M (so b_j <= 1) at which the
+       M/2 - 1 - j terms left satisfy (M/2 - 1 - j)(y_j + K) <= T, the
+       budget T = (n + 1) 2^(n + 2 power + 1 - P) = 2 M^2 (n + 1) 2^n u.
+       Each dropped term is at most b_j^n <= y_j + K in magnitude, so the
+       dropped sum is at most T.
+    5. Each residue sums the kept products exactly.  A product is off by
+       at most 2^n (1.5 n M + 4 L + 1) u (1 + 0.75 M u) + 2^n 0.75 M u,
+       there are at most M/2 - 1 of them, and the sum is scaled by
+       2^(1 - power) = 2/M, so with the dropped tail (M >= 4)
 
-           |A - exact| <= 2^n u (5 n M + 2 M) <= E = (n + 1) 2^(n + power + 3 - P)
+           |A - exact| <= 2^n u (1.5 n M + 0.75 M + 4 L + 2) + 2 T / M
+                       <= 2^n u (4 n M + 4 M (n + 1))
+                        = E = (2n + 1) 2^(n + power + 2 - P)
 
        (power 1 has no terms, so no error).
 
-    E < 2^(-power - 29), far below 1/2.  Each A is certified: the interval
+    E = (2n + 1) 2^-(L + 1) 2^(-power - 29) < 2^(-power - 29), since
+    2n + 1 < 2^(L + 1): far below 1/2.  Each A is certified: the interval
     [A - E, A + E] must hold exactly one integer, that is E < 1/2 and
     |A - round(A)| <= E; otherwise InternalCheckError is raised.
     """
@@ -253,30 +328,13 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
     if 2 * bound >= 1:
         raise InternalCheckError(f"lacunary error bound {bound} is not below 1/2")
     mod = 1 << power
-    half = mod >> 1
     prec = _lacunary_precision(n, power)
-    frac = prec - n
-    c1, s1 = _cos_sin_pi(power, prec)
-    quarter = [1 << prec]
-    c, s = 1 << prec, 0
-    for _ in range(half):
-        c, s = (c * c1 - s * s1) >> prec, (s * c1 + c * s1) >> prec
-        quarter.append(c)
+    quarter, powers = _lacunary_terms(n, power)
     # cos(r pi / M) for 0 <= r < 2M: cos(r) = -cos(M - r), cos(2M - r) = cos(r).
     table = quarter + [-x for x in reversed(quarter[:-1])]
     table += table[mod - 1:0:-1]
-    bits = bin(n)[3:]
-    powers = []
-    for j in range(1, half):
-        base = 2 * quarter[j]
-        y = base
-        for bit in bits:
-            y = y * y >> prec
-            if bit == "1":
-                y = y * base >> prec
-        powers.append(y >> n)
-    # Products carry frac + prec fractional bits; A = 2^(n-power) + 2^(1-power) sum.
-    scale = frac + prec + power
+    # Products carry (P - n) + P fractional bits; A = 2^(n-power) + 2^(1-power) sum.
+    scale = 2 * prec - n + power
     lead = 1 << (n - power + scale)
     wrap = 2 * mod - 1
     by_angle: dict[int, int] = {}

@@ -463,9 +463,38 @@ def test_count_refuses_a_large_p_before_computing(monkeypatch, capsys, p):
     (["count", "2", "-1"], "n must be non-negative"),
     (["count", "2", "0"], "balance needs n >= 1"),
     (["count", "4", "3"], "p=4 is not prime"),
+    (["count", "0", "-1"], "p=0 is not prime"),
 ])
 def test_count_domain_errors_keep_their_messages(capsys, argv, message):
     assert run(capsys, argv) == (64, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "2305843009213693951", "0"], "balance needs n >= 1"),
+    (["generate", "2305843009213693951", "0"],
+     "p=2305843009213693951 divides n=0: some orbit cannot be split into p groups"),
+])
+def test_a_61_bit_prime_is_recognised_at_once(capsys, argv, message):
+    started = time.perf_counter()
+    result = run(capsys, argv)
+    assert time.perf_counter() - started < 1
+    assert result == (64, "", f"error: {message}\n")
+
+
+def test_count_refuses_a_large_n_before_forming_p_to_the_n(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["count", "2", "3000000"])
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (65, "")
+    assert err == "error: p^n=2^3000000 exceeds the counting cap 1048576\n"
+    # Where p^n is short enough to print, the message gives its decimal.
+    assert run(capsys, ["count", "3", "13"]) == (
+        65, "", "error: p^n=1594323 exceeds the counting cap 1048576\n")
+    assert run(capsys, ["count", "2", "7000"])[2] == (
+        f"error: p^n={2 ** 7000} exceeds the counting cap 1048576\n")
+    assert run(capsys, ["count", "2", "7001"])[2] == (
+        "error: p^n=2^7001 exceeds the counting cap 1048576\n")
+    assert run(capsys, ["count", "-2", "3000001"]) == (64, "", "error: p=-2 is not prime\n")
 
 
 def test_all_residue_lacunary_budget_at_the_cap(capsys):

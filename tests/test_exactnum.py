@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import mpmath
 import pytest
@@ -85,6 +86,31 @@ def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for m in range(-3, 25):
         assert is_prime(m) == (m in primes)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, limit, f)))
+    primes = [m for m in range(limit) if sieve[m]]
+    assert [m for m in range(limit) if is_prime(m)] == primes
+    # Across 2^20, where trial division hands over to the strong tests.
+    for m in range((1 << 20) - 500, (1 << 20) + 5000):
+        assert is_prime(m) == all(m % f for f in takewhile(lambda f: f * f <= m, primes)), m
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # Each composite passes the strong test to every prime base up to 2,
+    # 7, 23 and 37 in turn.
+    for m in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(m), m
+    assert is_prime((1 << 31) - 1)
+    assert is_prime((1 << 61) - 1)
+    assert not is_prime((1 << 61) - 1 + 2)
+    assert not is_prime(((1 << 31) - 1) * ((1 << 19) - 1))
 
 
 @given(st.integers(min_value=0, max_value=300),
@@ -224,6 +250,44 @@ def test_certified_lacunary_matches_oracle_on_sampled_residues(power):
         _checked_errors(n, power, residues)
         i = residues[-1]
         assert lacunary_trig_sums(n, power, [i]) == (oracles.lacunary_sum_direct(n, power, i),)
+
+
+@pytest.mark.parametrize("power", range(8, 13))
+def test_certified_lacunary_on_the_forms_census_band(power):
+    # forms-census draws single-residue lacunary calls at these n and powers.
+    rng = random.Random(power)
+    for n in (60, 88, 120, 160):
+        residues = [0, (1 << power) - 1] + rng.sample(range(1 << power), 6)
+        assert max(_checked_errors(n, power, residues)) < Fraction(1, 1 << (power + 29))
+
+
+@pytest.mark.parametrize("n, power", [
+    *((n, power) for n in (1, 2, 7, 60, 200) for power in (1, 2, 3)),
+    (100, 4), (300, 4), (60, 8), (88, 10), (60, 12), (140, 12), (1000, 12), (4096, 12),
+])
+def test_lacunary_tail_cut_stays_within_its_budget(n, power):
+    # Step 4 of the kernel's proof: the n-th powers it drops sum to at most
+    # T = (n + 1) 2^(n + 2 power + 1 - P), and below power 4 it drops none.
+    half = 1 << (power - 1)
+    prec = exactnum._lacunary_precision(n, power)
+    _, powers = exactnum._lacunary_terms(n, power)
+    cut = len(powers) + 1
+    if power <= 3:
+        assert cut == half
+    if (n, power) in ((60, 12), (4096, 12)):
+        assert cut < half
+    with mpmath.workprec(prec + 64):
+        dropped = mpmath.fsum((2 * mpmath.cospi(mpmath.mpf(j) / (1 << power))) ** n
+                              for j in range(cut, half))
+        budget = Fraction(n + 1, 1 << (prec - n - 2 * power - 1))
+        assert dropped <= mpmath.mpf(budget.numerator) / budget.denominator
+
+
+def test_lacunary_error_bound_is_strictly_below_its_stated_limit():
+    for power in range(1, 13):
+        limit = Fraction(1, 1 << (power + 29))
+        for n in range(1, 4097):
+            assert exactnum._lacunary_error_bound(n, power) < limit, (n, power)
 
 
 def test_lacunary_error_bound_is_far_below_one_half():
