@@ -10,7 +10,7 @@ search reproduces exactly where those exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from typing import Optional
 
@@ -21,29 +21,25 @@ from .exactnum import pascal_row
 SEARCH_MAX_N = 32
 
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(namedtuple("SignVector", "n delta")):
     """Candidate signing delta[0..n] of row n, entries in {-1, +1}."""
 
-    n: int
-    delta: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.delta) != self.n + 1:
+    def __new__(cls, n: int, delta: tuple[int, ...]):
+        if len(delta) != n + 1:
             raise ValueError("delta must have n + 1 entries")
-        if any(d not in (-1, 1) for d in self.delta):
+        if any(d not in (-1, 1) for d in delta):
             raise ValueError("delta entries must be -1 or +1")
+        return super().__new__(cls, n, delta)
 
 
-@dataclass(frozen=True)
-class SolutionReport:
-    """Exact solution counts for one n, with optional witnesses."""
+class SolutionReport(namedtuple("SolutionReport", "n total trivial nontrivial witnesses",
+                                defaults=(None,))):
+    """Exact solution counts for one n, with optional witnesses (a tuple
+    of SignVector, or None when none were asked for)."""
 
-    n: int
-    total: int
-    trivial: int
-    nontrivial: int
-    witnesses: Optional[tuple[SignVector, ...]] = None
+    __slots__ = ()
 
 
 def _alternating(n: int) -> tuple[int, ...]:

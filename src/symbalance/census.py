@@ -148,6 +148,24 @@ def lower_bound_balanced(p: int, n: int) -> int:
     return _product(factors)
 
 
+def _lower_bound_bits(p: int, n: int, stop: float) -> float:
+    """log2 of lower_bound_balanced(p, n) for gcd(n, p) = 1, from
+    math.lgamma, with no factorial formed: each orbit adds
+    log2(size! / ((size/p)!)^p).  The sum stops once it passes stop, so at
+    most about stop orbits are read, each adding at least log2(p!) >= 1.
+    An orbit of 2^64 classes or more adds far more than any stop a caller
+    can hold, and returns inf at once."""
+    bits = 0.0
+    for parts in _partitions(n, p):
+        size = multinomial(p, _multiplicities(parts, p))
+        if size >> 64:
+            return math.inf
+        bits += (math.lgamma(size + 1) - p * math.lgamma(size // p + 1)) / math.log(2)
+        if bits > stop:
+            break
+    return bits
+
+
 def _orbits(p: int, n: int) -> list[list[int]]:
     """Class indices grouped by orbit.  An orbit's key is its classes'
     counts sorted ascending: its partition, reversed and padded with zeros

@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from collections import namedtuple
+from typing import Optional, Sequence
 
 from .bisection import find_all_solutions
 from .census import (
+    _lower_bound_bits,
     brute_count_balanced_symmetric,
     count_balanced_all,
     count_symmetric,
@@ -60,6 +62,13 @@ LACUNARY_MAX_POWER = 12
 # turn (best and worst of 3 in one process, csv output) on a shared 2-core
 # Xeon with CPython 3.11.
 LACUNARY_ALL_MAX_WORK = 149 << 24
+# The orbit-splitting bound is refused while its log2, estimated before
+# any factorial is formed, exceeds this.  At the cap, lower-bound 2 262143
+# (exactly 2^131072, 39,457 digits) took 1.9-2.1 s as a process and
+# 3 491 0.45-0.52 s; a refusal reads at most about 2^17 orbits, so
+# lower-bound 2 1000000001 exits 65 in 0.9-1.05 s and 13 10 in 0.1 s
+# (best and worst of 3, csv output, shared 2-core Xeon, CPython 3.11).
+LOWER_BOUND_MAX_BITS = 1 << 17
 
 
 def _limit(text: str) -> int:
@@ -73,8 +82,9 @@ def _limit(text: str) -> int:
     return value
 
 
-@dataclass
-class CommandResult:
+class CommandResult(namedtuple("CommandResult",
+                               "command parameters columns rows lines exit_code",
+                               defaults=(EXIT_OK,))):
     """An answer as rows for JSON and CSV, and a function that builds its
     text lines, called only when text is printed.  Each big integer is
     turned into decimal once, and the lines reuse that string.  A lines
@@ -82,12 +92,7 @@ class CommandResult:
     before the output is written.  The rows are read at most once, so a
     scan passes a generator over its cells that text output never runs."""
 
-    command: str
-    parameters: dict
-    columns: list
-    rows: Iterable[dict]
-    lines: Callable[[], list]
-    exit_code: int = EXIT_OK
+    __slots__ = ()
 
 
 def _cmd_weight(args) -> CommandResult:
@@ -193,6 +198,12 @@ def _cmd_count(args) -> CommandResult:
 
 
 def _cmd_lower_bound(args) -> CommandResult:
+    # When p divides n, lower_bound_balanced refuses at once (exit 64), so
+    # only a coprime pair is estimated.
+    if math.gcd(args.p, args.n) == 1:
+        if _lower_bound_bits(args.p, args.n, LOWER_BOUND_MAX_BITS) > LOWER_BOUND_MAX_BITS:
+            raise BudgetError(f"the bound for p={args.p}, n={args.n} exceeds "
+                              f"2^{LOWER_BOUND_MAX_BITS}")
     bound = str(lower_bound_balanced(args.p, args.n))
     return CommandResult(
         "lower-bound", {"p": args.p, "n": args.n},

@@ -9,14 +9,13 @@ range exactly and report the cells so callers can look for mismatches.
 The closed-form weights for degrees 2^t + 1 and 1 + 2^s + 2^t evaluate
 short cosine sums instead of binomial rows; they are exact in exact
 arithmetic and are evaluated here in fixed precision, to be checked
-against the integer route.  They import mpmath on their first call; the
-scans never load it.
+against the integer route.  They import mpmath and fractions on their
+first call; the scans never load either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError
@@ -37,26 +36,16 @@ C2_DEFAULT_N = 160
 C2_MAX_N = 512
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(namedtuple("ScanCell", "d n weight balanced predicted")):
     """One (d, n) cell of a balancedness scan."""
 
-    d: int
-    n: int
-    weight: int
-    balanced: bool
-    predicted: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundCell:
+class BoundCell(namedtuple("BoundCell", "d n weight bound below")):
     """One (d, n) cell of a quarter-weight bound scan."""
 
-    d: int
-    n: int
-    weight: int
-    bound: int
-    below: bool
+    __slots__ = ()
 
 
 def predicted_balanced(d: int, n: int) -> bool:
@@ -111,6 +100,8 @@ def weight_trig_wt2(t: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     (S, T) with S = 2^(m-2) + T / 2^t; the weight is S rounded.  T collects
     (2 cos A)^(m-1) sin(rA)/sin(A) over odd a < 2^t with A = a pi / 2^(t+1)
     and r = m - 2^(t+1)."""
+    from fractions import Fraction
+
     import mpmath
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -134,6 +125,8 @@ def weight_trig_wt3(s: int, t: int, n: int) -> mpmath.mpf:
     least the degree, as one value to round.  Two cosine sums: odd j up to
     2^t - 1 with A = j pi / 2^(t+1), and odd k up to 2^s - 1 with
     B = k pi / 2^(s+1)."""
+    from fractions import Fraction
+
     import mpmath
     if not 1 <= s < t:
         raise ValueError("need 1 <= s < t")

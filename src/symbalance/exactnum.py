@@ -8,21 +8,22 @@ value is rounded only when the bound certifies the nearest integer.  The
 weight closed forms of `conjectures` use the mpmath helpers here at a
 fixed PRECISION_BITS of mantissa, with every cosine/sine argument kept as
 an exact rational multiple of pi and reduced mod 2 before the numeric
-call; mpmath is imported by those helpers on first use, so importing this
-module does not load it.  Floats never decide a verdict anywhere in this
+call; mpmath and fractions are imported by those helpers on first use, so
+importing this module loads neither.  Floats never decide a verdict anywhere in this
 package; they only cross-check integers.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import InternalCheckError
+from .errors import BudgetError, InternalCheckError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import mpmath
 
 PRECISION_BITS = 96
@@ -102,11 +103,15 @@ _SPRP_EXACT_BELOW = 3317044064679887385961981
 def is_prime(p: int) -> bool:
     """Primality, exactly.  Below 2^20 by trial division; from 2^20 up to
     3,317,044,064,679,887,385,961,981 by strong probable-prime tests to
-    the first 13 prime bases, which no composite there passes; above
-    that, by trial division again, which takes time of order sqrt(p)."""
+    the first 13 prime bases, which no composite there passes.  Past that
+    no fixed set of bases is proven and trial division takes time of order
+    sqrt(p), so BudgetError is raised."""
     if p < 2:
         return False
-    if 1 << 20 <= p < _SPRP_EXACT_BELOW:
+    if p >= _SPRP_EXACT_BELOW:
+        raise BudgetError(f"p={p} is past the proven primality range "
+                          f"p < {_SPRP_EXACT_BELOW}")
+    if p >= 1 << 20:
         if p % 2 == 0:
             return False
         d, s = p - 1, 0
@@ -158,16 +163,20 @@ def lacunary_sums(n: int, power: int, residues: Iterable[int]) -> tuple[int, ...
 
 def cospi_frac(q: Fraction) -> mpmath.mpf:
     """cos(pi q) for rational q, reduced mod 2 before evaluation."""
+    import fractions  # `from fractions import Fraction` here: 1.6 us a call (CPython 3.11, Xeon)
+
     import mpmath
-    q = Fraction(q) % 2
+    q = fractions.Fraction(q) % 2
     with mpmath.workprec(PRECISION_BITS):
         return mpmath.cospi(mpmath.mpf(q.numerator) / q.denominator)
 
 
 def sinpi_frac(q: Fraction) -> mpmath.mpf:
     """sin(pi q) for rational q, reduced mod 2 before evaluation."""
+    import fractions  # `from fractions import Fraction` here: 1.6 us a call (CPython 3.11, Xeon)
+
     import mpmath
-    q = Fraction(q) % 2
+    q = fractions.Fraction(q) % 2
     with mpmath.workprec(PRECISION_BITS):
         return mpmath.sinpi(mpmath.mpf(q.numerator) / q.denominator)
 
@@ -193,6 +202,8 @@ def compensated_sum(terms: Iterable) -> mpmath.mpf:
 def round_real(x) -> int:
     """Nearest integer to a high-precision real, ties to even, computed
     exactly from the mantissa and exponent of an mpf at any magnitude."""
+    from fractions import Fraction
+
     import mpmath
     if not isinstance(x, mpmath.mpf):
         with mpmath.workprec(PRECISION_BITS):
@@ -208,9 +219,10 @@ def _lacunary_precision(n: int, power: int) -> int:
     return n + 2 * power + n.bit_length() + 32
 
 
-def _lacunary_error_bound(n: int, power: int) -> Fraction:
-    """The bound E = (2n + 1) 2^(n + power + 2 - P) of _lacunary_fixed."""
-    return Fraction(2 * n + 1, 1 << (_lacunary_precision(n, power) - n - power - 2))
+def _lacunary_error_bound(n: int, power: int) -> tuple[int, int]:
+    """The bound E = (2n + 1) 2^(n + power + 2 - P) of _lacunary_fixed, as
+    the integer pair (numerator, denominator)."""
+    return 2 * n + 1, 1 << (_lacunary_precision(n, power) - n - power - 2)
 
 
 def _cos_sin_pi(power: int, prec: int) -> tuple[int, int]:
@@ -324,9 +336,9 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
     """
     if n == 0:
         raise ValueError("the closed form requires n >= 1")
-    bound = _lacunary_error_bound(n, power)
-    if 2 * bound >= 1:
-        raise InternalCheckError(f"lacunary error bound {bound} is not below 1/2")
+    num, den = _lacunary_error_bound(n, power)
+    if 2 * num >= den:
+        raise InternalCheckError(f"lacunary error bound {num}/{den} is not below 1/2")
     mod = 1 << power
     prec = _lacunary_precision(n, power)
     quarter, powers = _lacunary_terms(n, power)
@@ -348,7 +360,7 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
                                             for j, y in enumerate(powers, 1)])
         value = by_angle[key]
         nearest = (value + (1 << (scale - 1))) >> scale
-        if abs(value - (nearest << scale)) * bound.denominator > bound.numerator << scale:
+        if abs(value - (nearest << scale)) * den > num << scale:
             raise InternalCheckError(
                 f"lacunary closed form at n={n}, power={power}, i={i} is not "
                 f"within its error bound of an integer")

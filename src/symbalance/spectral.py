@@ -14,19 +14,17 @@ evaluators it is tested against live in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .exactnum import pascal_row
 from .symfun import WeightFunction, is_balanced_elem
 
 
-@dataclass(frozen=True)
-class WalshSpectrum:
+class WalshSpectrum(namedtuple("WalshSpectrum", "n by_weight")):
     """Walsh values of a symmetric function, indexed by mask weight."""
 
-    n: int
-    by_weight: tuple[int, ...]
+    __slots__ = ()
 
 
 def walsh_spectrum(wf: WeightFunction) -> WalshSpectrum:

@@ -10,7 +10,7 @@ monomials are all-ones there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement, compress
 from math import perm
 from operator import sub
@@ -20,52 +20,47 @@ from .errors import InternalCheckError
 from .exactnum import binom, is_prime, multinomial, pascal_row
 
 
-@dataclass(frozen=True)
-class MultisetClass:
+class MultisetClass(namedtuple("MultisetClass", "p n counts")):
     """One permutation orbit of inputs: counts[l] coordinates equal l."""
 
-    p: int
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.counts) != self.p:
+    def __new__(cls, p: int, n: int, counts: tuple[int, ...]):
+        if len(counts) != p:
             raise ValueError("counts must have one entry per symbol")
-        if any(c < 0 for c in self.counts) or sum(self.counts) != self.n:
+        if any(c < 0 for c in counts) or sum(counts) != n:
             raise ValueError("counts must be non-negative and sum to n")
+        return super().__new__(cls, p, n, counts)
 
     def size(self) -> int:
         """Number of input vectors in the class."""
         return multinomial(self.n, self.counts)
 
 
-@dataclass(frozen=True)
-class SymmetricFunction:
+class SymmetricFunction(namedtuple("SymmetricFunction", "p n values")):
     """Output value per multiset class, in enumerate_classes order."""
 
-    p: int
-    n: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != binom(self.p + self.n - 1, self.n):
+    def __new__(cls, p: int, n: int, values: tuple[int, ...]):
+        if len(values) != binom(p + n - 1, n):
             raise ValueError("one value per class is required")
-        if any(not 0 <= v < self.p for v in self.values):
-            raise ValueError(f"values must lie in [0, {self.p})")
+        if any(not 0 <= v < p for v in values):
+            raise ValueError(f"values must lie in [0, {p})")
+        return super().__new__(cls, p, n, values)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(namedtuple("WeightFunction", "n v")):
     """Boolean symmetric function as output bits v[0..n] per input weight."""
 
-    n: int
-    v: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.v) != self.n + 1:
+    def __new__(cls, n: int, v: tuple[int, ...]):
+        if len(v) != n + 1:
             raise ValueError("v must have n + 1 entries")
-        if not set(self.v) <= {0, 1}:
+        if not set(v) <= {0, 1}:
             raise ValueError("v entries must be bits")
+        return super().__new__(cls, n, v)
 
 
 def _count_vectors(p: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -21,6 +21,7 @@ import pytest
 import oracles
 import symbalance.census as census
 import symbalance.cli as cli
+from symbalance.census import lower_bound_balanced
 from symbalance.cli import main
 from symbalance.conjectures import BoundCell, ScanCell
 
@@ -497,6 +498,71 @@ def test_count_refuses_a_large_n_before_forming_p_to_the_n(capsys):
     assert run(capsys, ["count", "-2", "3000001"]) == (64, "", "error: p=-2 is not prime\n")
 
 
+# (2^31 - 1)(2^61 - 1): past the proven range of the strong-base test,
+# where trial division would run for minutes.
+PAST_PRIMALITY_RANGE = ((1 << 31) - 1) * ((1 << 61) - 1)
+
+
+@pytest.mark.parametrize("command", ["count", "lower-bound", "generate"])
+def test_a_p_past_the_proven_primality_range_is_refused_at_once(capsys, command):
+    started = time.perf_counter()
+    result = run(capsys, [command, str(PAST_PRIMALITY_RANGE), "0"])
+    assert time.perf_counter() - started < 1
+    assert result == (65, "", f"error: p={PAST_PRIMALITY_RANGE} is past the proven "
+                              f"primality range p < 3317044064679887385961981\n")
+
+
+def test_lower_bound_refuses_past_its_output_cap(monkeypatch, capsys):
+    # 13 10 is about 2^131507: the product of factorials is never formed.
+    def forbidden(p, n):
+        raise AssertionError("lower_bound_balanced ran before the budget check")
+
+    monkeypatch.setattr(cli, "lower_bound_balanced", forbidden)
+    started = time.perf_counter()
+    result = run(capsys, ["lower-bound", "13", "10"])
+    assert time.perf_counter() - started < 1
+    assert result == (65, "", "error: the bound for p=13, n=10 exceeds 2^131072\n")
+
+
+@pytest.fixture
+def unlimited_digits():
+    """Lift the int/str digit limit (Python 3.10.7 and later) while a test
+    writes out its expected bounds, which run to 40k digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+# lower-bound 2 4095 is checked by test_lower_bound_at_large_odd_n.
+@pytest.mark.parametrize("p, n", [(13, 3), (13, 6),
+                                  # the forms-census workload's pairs
+                                  *((2, n) for n in range(1, 32, 2)),
+                                  *((3, n) for n in (1, 2, 4, 5, 7, 8)),
+                                  *((5, n) for n in range(1, 5)),
+                                  *((7, n) for n in range(1, 4)), (11, 2)])
+def test_lower_bound_answers_under_its_output_cap(capsys, unlimited_digits, p, n):
+    bound = lower_bound_balanced(p, n)
+    assert bound.bit_length() <= cli.LOWER_BOUND_MAX_BITS
+    assert run(capsys, ["lower-bound", str(p), str(n)]) == (
+        0, f"at least {bound} balanced symmetric functions for p={p}, n={n}\n", "")
+
+
+def test_lower_bound_cap_is_on_log2_of_the_bound(capsys, unlimited_digits):
+    # lower_bound_balanced(2, n) = 2^((n + 1)/2): exactly 2^131072 is
+    # answered, twice that is refused.
+    assert cli.LOWER_BOUND_MAX_BITS == 1 << 17
+    assert run(capsys, ["lower-bound", "2", "262143", "--format", "csv"]) == (
+        0, f"p,n,bound\n2,262143,{1 << 131072}\n", "")
+    assert run(capsys, ["lower-bound", "2", "262145"]) == (
+        65, "", "error: the bound for p=2, n=262145 exceeds 2^131072\n")
+
+
 def test_all_residue_lacunary_budget_at_the_cap(capsys):
     # lacunary 569 11 needs exactly the cap; one more n is over it.
     assert 2 ** 21 * (2 * 569 + 2 * 11 + 32) == cli.LACUNARY_ALL_MAX_WORK
@@ -539,20 +605,12 @@ def test_lacunary_answers_past_the_old_96_bit_route(capsys, argv):
     assert out.splitlines() == ["i,exact,trig"] + expected
 
 
-def test_import_starts_no_process_machinery():
-    # Scans run serially; importing the CLI must not pay for process pools.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = ("import symbalance.cli, sys; "
-             "sys.exit(sorted({'concurrent.futures', 'multiprocessing'} "
-             "& set(sys.modules)) or 0)")
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-
-
-def test_no_command_loads_mpmath():
-    # mpmath is imported only by the library's weight closed forms.
+def test_cold_start_loads_no_heavy_module():
+    # One fresh interpreter imports the package and runs every command.
+    # Scans run serially, so no process machinery is imported; mpmath and
+    # fractions load only with the library's weight closed forms; records
+    # are named tuples, so dataclasses (and the inspect it pulls in) never
+    # load.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = "\n".join([
         "import contextlib, io, sys",
@@ -566,8 +624,9 @@ def test_no_command_loads_mpmath():
         "    codes = [cli.main(argv) for argv in commands]",
         "if codes != [0] * 11 + [64, 0]:",
         "    sys.exit(f'exit codes {codes}')",
-        "if 'mpmath' in sys.modules:",
-        "    sys.exit('mpmath was loaded')",
+        "heavy = {'mpmath', 'dataclasses', 'inspect', 'fractions',",
+        "         'concurrent.futures', 'multiprocessing'}",
+        "sys.exit(sorted(heavy & set(sys.modules)) or 0)",
     ])
     done = subprocess.run([sys.executable, "-c", probe],
                           env={**os.environ, "PYTHONPATH": src},

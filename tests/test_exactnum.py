@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import symbalance.exactnum as exactnum
-from symbalance.errors import InternalCheckError
+from symbalance.errors import BudgetError, InternalCheckError
 from symbalance.exactnum import (
     binom,
     compensated_sum,
@@ -111,6 +111,15 @@ def test_is_prime_on_strong_pseudoprimes_and_large_primes():
     assert is_prime((1 << 61) - 1)
     assert not is_prime((1 << 61) - 1 + 2)
     assert not is_prime(((1 << 31) - 1) * ((1 << 19) - 1))
+
+
+def test_is_prime_refuses_past_its_proven_range():
+    # No fixed set of strong bases is proven there, and trial division
+    # would take time of order sqrt(p).
+    for m in (3317044064679887385961981, ((1 << 31) - 1) * ((1 << 61) - 1), 1 << 100):
+        with pytest.raises(BudgetError, match="past the proven primality range"):
+            is_prime(m)
+    assert not is_prime(3317044064679887385961980)
 
 
 @given(st.integers(min_value=0, max_value=300),
@@ -223,7 +232,7 @@ def test_cos_sin_chain_is_within_its_proved_error(power):
 def _checked_errors(n, power, residues):
     """The kernel's |A - exact| for each residue, against the bound E."""
     scale, values = exactnum._lacunary_fixed(n, power, residues)
-    bound = exactnum._lacunary_error_bound(n, power)
+    bound = Fraction(*exactnum._lacunary_error_bound(n, power))
     errors = []
     for i, value in zip(residues, values):
         exact = oracles.lacunary_sum_direct(n, power, i)
@@ -287,20 +296,20 @@ def test_lacunary_error_bound_is_strictly_below_its_stated_limit():
     for power in range(1, 13):
         limit = Fraction(1, 1 << (power + 29))
         for n in range(1, 4097):
-            assert exactnum._lacunary_error_bound(n, power) < limit, (n, power)
+            assert Fraction(*exactnum._lacunary_error_bound(n, power)) < limit, (n, power)
 
 
 def test_lacunary_error_bound_is_far_below_one_half():
     for n, power in ((4096, 1), (4096, 12)):
-        bound = exactnum._lacunary_error_bound(n, power)
+        bound = Fraction(*exactnum._lacunary_error_bound(n, power))
         assert bound < Fraction(1, 2)
         assert bound < Fraction(1, 1 << (power + 29))
 
 
 def test_lacunary_certificate_refuses_a_value_outside_its_bound(monkeypatch):
-    monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: Fraction(0))
+    monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: (0, 1))
     with pytest.raises(InternalCheckError):
         lacunary_trig_sums(10, 3, range(8))
-    monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: Fraction(1, 2))
+    monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: (1, 2))
     with pytest.raises(InternalCheckError):
         lacunary_trig_sums(10, 3, [0])

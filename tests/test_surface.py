@@ -8,8 +8,19 @@ asserted in the tests on the outputs of the functions that remain.
 import importlib
 import pkgutil
 
+import pytest
+
 import symbalance
-from symbalance.symfun import WeightFunction
+from symbalance import (
+    BoundCell,
+    MultisetClass,
+    ScanCell,
+    SignVector,
+    SolutionReport,
+    SymmetricFunction,
+    WalshSpectrum,
+    WeightFunction,
+)
 
 EXPORTED = {
     "BoundCell", "BudgetError", "InternalCheckError", "MultisetClass",
@@ -48,3 +59,62 @@ def test_deleted_names_are_gone():
     for module in modules:
         assert [name for name in DELETED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(WeightFunction, "to_symmetric")
+
+
+# One value of each public record, its fields in order, and its repr.
+RECORDS = [
+    (MultisetClass(3, 2, (1, 1, 0)), ("p", "n", "counts"),
+     "MultisetClass(p=3, n=2, counts=(1, 1, 0))"),
+    (SymmetricFunction(2, 1, (0, 1)), ("p", "n", "values"),
+     "SymmetricFunction(p=2, n=1, values=(0, 1))"),
+    (WeightFunction(2, (0, 1, 0)), ("n", "v"), "WeightFunction(n=2, v=(0, 1, 0))"),
+    (WalshSpectrum(2, (0, 4, 0)), ("n", "by_weight"), "WalshSpectrum(n=2, by_weight=(0, 4, 0))"),
+    (ScanCell(2, 3, 4, True, True), ("d", "n", "weight", "balanced", "predicted"),
+     "ScanCell(d=2, n=3, weight=4, balanced=True, predicted=True)"),
+    (BoundCell(63, 124, 5, 6, True), ("d", "n", "weight", "bound", "below"),
+     "BoundCell(d=63, n=124, weight=5, bound=6, below=True)"),
+    (SignVector(1, (1, -1)), ("n", "delta"), "SignVector(n=1, delta=(1, -1))"),
+    (SolutionReport(3, 8, 4, 4, (SignVector(1, (1, -1)),)),
+     ("n", "total", "trivial", "nontrivial", "witnesses"),
+     "SolutionReport(n=3, total=8, trivial=4, nontrivial=4, "
+     "witnesses=(SignVector(n=1, delta=(1, -1)),))"),
+]
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_record_fields_repr_equality_and_immutability(record, fields, text):
+    cls = type(record)
+    assert cls._fields == fields
+    assert repr(record) == text
+    values = tuple(getattr(record, name) for name in fields)
+    again = cls(**dict(zip(fields, values)))
+    assert again == record and hash(again) == hash(record)
+    # Records are named tuples: equal to the plain tuple of their values.
+    assert record == values
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_solution_report_witnesses_default_to_none():
+    assert SolutionReport(3, 8, 4, 4).witnesses is None
+    assert SolutionReport(3, 8, 4, 4) != SolutionReport(3, 8, 4, 4, ())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MultisetClass(3, 2, (1, 1)), "one entry per symbol"),
+    (lambda: MultisetClass(3, 2, (1, 2, 0)), "sum to n"),
+    (lambda: MultisetClass(3, 2, (-1, 3, 0)), "non-negative"),
+    (lambda: SymmetricFunction(2, 1, (0,)), "one value per class"),
+    (lambda: SymmetricFunction(3, 1, (0, 1, 3)), r"values must lie in \[0, 3\)"),
+    (lambda: SymmetricFunction(3, 1, (0, -1, 2)), r"values must lie in \[0, 3\)"),
+    (lambda: WeightFunction(2, (0, 1)), "n \\+ 1 entries"),
+    (lambda: WeightFunction(2, (0, 1, 2)), "bits"),
+    (lambda: SignVector(2, (1, -1)), "n \\+ 1 entries"),
+    (lambda: SignVector(1, (1, 0)), "-1 or \\+1"),
+])
+def test_record_checks_still_fire(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
