@@ -605,14 +605,31 @@ def test_lacunary_answers_past_the_old_96_bit_route(capsys, argv):
     assert out.splitlines() == ["i,exact,trig"] + expected
 
 
-def test_cold_start_loads_no_heavy_module():
-    # One fresh interpreter imports the package and runs every command.
-    # Scans run serially, so no process machinery is imported; mpmath and
-    # fractions load only with the library's weight closed forms; records
-    # are named tuples, so dataclasses (and the inspect it pulls in) never
-    # load.
+# Modules that neither importing the package nor running any command loads:
+# scans run serially, so no process machinery; mpmath and fractions load
+# only with the library's weight closed forms; records are named tuples, so
+# dataclasses (and the inspect it pulls in) never load.
+HEAVY_MODULES = ("'mpmath', 'dataclasses', 'inspect', 'fractions', "
+                 "'concurrent.futures', 'multiprocessing'")
+
+
+def run_fresh_interpreter(lines):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = "\n".join([
+    probe = "\n".join(lines + [
+        f"sys.exit(sorted({{{HEAVY_MODULES}}} & set(sys.modules)) or 0)",
+    ])
+    return subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+def test_import_starts_no_process_machinery():
+    done = run_fresh_interpreter(["import sys", "import symbalance.cli"])
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_command_loads_mpmath():
+    done = run_fresh_interpreter([
         "import contextlib, io, sys",
         "import symbalance, symbalance.cli as cli",
         "commands = [['lacunary', '140', '12', '4000'], ['lacunary', '60', '3'],",
@@ -624,13 +641,7 @@ def test_cold_start_loads_no_heavy_module():
         "    codes = [cli.main(argv) for argv in commands]",
         "if codes != [0] * 11 + [64, 0]:",
         "    sys.exit(f'exit codes {codes}')",
-        "heavy = {'mpmath', 'dataclasses', 'inspect', 'fractions',",
-        "         'concurrent.futures', 'multiprocessing'}",
-        "sys.exit(sorted(heavy & set(sys.modules)) or 0)",
     ])
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
