@@ -119,51 +119,73 @@ def all_orbits_divisible(p: int, n: int) -> bool:
     (none at all for n = 0), whose one multiplicity is p; otherwise it
     scans every partition."""
     _check_args(p, n)
-    by_gcd = math.gcd(n, p) == 1
-    if by_gcd:
-        by_scan = all(max(_multiplicities(parts, p)) < p for parts in _partitions(n, p))
-    else:
-        by_scan = max(_multiplicities((n // p,) * p if n else (), p)) < p
-    if by_gcd != by_scan:
-        raise InternalCheckError(f"orbit split criteria disagree at p={p}, n={n}")
-    return by_gcd
+    if math.gcd(n, p) == 1:
+        for _ in _scanned_multiplicities(p, n):
+            pass
+        return True
+    if max(_multiplicities((n // p,) * p if n else (), p)) < p:
+        raise _disagreement(p, n)
+    return False
 
 
-def lower_bound_balanced(p: int, n: int) -> int:
+def _scanned_multiplicities(p: int, n: int) -> Iterator[list[int]]:
+    """The multiplicities of each orbit when gcd(n, p) = 1, in one walk of
+    the partitions, checked on the way by the scan of all_orbits_divisible:
+    a multiplicity reaching p raises InternalCheckError at that orbit."""
+    for parts in _partitions(n, p):
+        multiplicities = _multiplicities(parts, p)
+        if max(multiplicities) >= p:
+            raise _disagreement(p, n)
+        yield multiplicities
+
+
+def _disagreement(p: int, n: int) -> InternalCheckError:
+    return InternalCheckError(f"orbit split criteria disagree at p={p}, n={n}")
+
+
+def _split_orbit_sizes(p: int, n: int, max_bits: float = math.inf) -> list[int]:
+    """The size of every orbit, read in one walk of the partitions, when
+    every orbit splits; OrbitSplitError when p divides n.  The walk checks
+    the scan route of all_orbits_divisible against the gcd, and sums log2
+    of each orbit's splits, log2(size! / ((size/p)!)^p), from math.lgamma
+    with no factorial formed.  Once the sum passes max_bits it raises
+    BudgetError, so at most about max_bits orbits are read, each adding at
+    least log2(p!) >= 1.  An orbit of 2^64 classes or more adds far more
+    than any max_bits a caller can hold."""
+    _check_args(p, n)
+    if math.gcd(n, p) != 1 and not all_orbits_divisible(p, n):
+        raise OrbitSplitError(
+            f"p={p} divides n={n}: some orbit cannot be split into p groups")
+    sizes = []
+    bits = 0.0
+    for multiplicities in _scanned_multiplicities(p, n):
+        size = multinomial(p, multiplicities)
+        if size >> 64:
+            bits = math.inf
+        else:
+            bits += (math.lgamma(size + 1) - p * math.lgamma(size // p + 1)) / math.log(2)
+        if bits > max_bits:
+            raise BudgetError(f"the bound for p={p}, n={n} exceeds 2^{max_bits}")
+        sizes.append(size)
+    return sizes
+
+
+def lower_bound_balanced(p: int, n: int, *,
+                         orbit_sizes: Optional[list[int]] = None) -> int:
     """Product over orbits of (orbit)! / ((orbit/p)!)^p: the number of ways
     to split every orbit into p labeled equal groups.  Each split yields a
     distinct balanced function, so this bounds their count from below.
 
     Requires gcd(n, p) = 1; when p divides n the all-equal class forms an
     orbit of size 1 that cannot be split, and the bound is not asserted.
+    A caller that has already read the orbits with _split_orbit_sizes(p, n,
+    max_bits), to refuse a bound too large to form, passes their sizes as
+    orbit_sizes, so that no orbit is read twice.
     """
-    if not all_orbits_divisible(p, n):
-        raise OrbitSplitError(
-            f"p={p} divides n={n}: some orbit cannot be split into p groups")
-    factors = []
-    for parts in _partitions(n, p):
-        size = multinomial(p, _multiplicities(parts, p))
-        part = exact_div(size, p)
-        factors.append(exact_div(math.factorial(size), math.factorial(part) ** p))
-    return _product(factors)
-
-
-def _lower_bound_bits(p: int, n: int, stop: float) -> float:
-    """log2 of lower_bound_balanced(p, n) for gcd(n, p) = 1, from
-    math.lgamma, with no factorial formed: each orbit adds
-    log2(size! / ((size/p)!)^p).  The sum stops once it passes stop, so at
-    most about stop orbits are read, each adding at least log2(p!) >= 1.
-    An orbit of 2^64 classes or more adds far more than any stop a caller
-    can hold, and returns inf at once."""
-    bits = 0.0
-    for parts in _partitions(n, p):
-        size = multinomial(p, _multiplicities(parts, p))
-        if size >> 64:
-            return math.inf
-        bits += (math.lgamma(size + 1) - p * math.lgamma(size // p + 1)) / math.log(2)
-        if bits > stop:
-            break
-    return bits
+    if orbit_sizes is None:
+        orbit_sizes = _split_orbit_sizes(p, n)
+    return _product([exact_div(math.factorial(size), math.factorial(exact_div(size, p)) ** p)
+                     for size in orbit_sizes])
 
 
 def _orbits(p: int, n: int) -> list[list[int]]:

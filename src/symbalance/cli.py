@@ -6,22 +6,28 @@ consumer has to parse arbitrary-precision numbers.  Exit codes: 0 for a
 clean answer, 2 when a scan finds a counterexample, 64 for usage errors,
 65 when a request exceeds a computational budget, 70 when two supposedly
 equivalent computations disagree.
+
+The arguments of every subcommand are declared once, in _GRAMMAR.  A call
+in canonical form (the command, all of its positionals, then --format and
+the command's own options spelled in full, each with its value) is read
+straight from that table.  Any other argv, help included, goes to an
+argparse parser built from the same table when it is needed, so argparse
+loads only for help, usage errors and the other spellings it accepts, and
+answers them as it always has.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import json
-import math
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .bisection import find_all_solutions
 from .census import (
-    _lower_bound_bits,
+    _split_orbit_sizes,
     brute_count_balanced_symmetric,
     count_balanced_all,
     count_symmetric,
@@ -63,16 +69,19 @@ LACUNARY_MAX_POWER = 12
 # Xeon with CPython 3.11.
 LACUNARY_ALL_MAX_WORK = 149 << 24
 # The orbit-splitting bound is refused while its log2, estimated before
-# any factorial is formed, exceeds this.  At the cap, lower-bound 2 262143
-# (exactly 2^131072, 39,457 digits) took 1.9-2.1 s as a process and
-# 3 491 0.45-0.52 s; a refusal reads at most about 2^17 orbits, so
-# lower-bound 2 1000000001 exits 65 in 0.9-1.05 s and 13 10 in 0.1 s
-# (best and worst of 3, csv output, shared 2-core Xeon, CPython 3.11).
+# any factorial is formed, exceeds this.  The orbits are read once.  At
+# the cap, lower-bound 2 262143 (exactly 2^131072, 39,457 digits) took
+# 0.95-1.6 s as a process and 3 491 0.26-0.33 s; a refusal reads at most
+# about 2^17 orbits, so lower-bound 2 1000000001 exits 65 in 0.8-1.07 s
+# and 13 10 in 0.1 s (best and worst of 3-5, csv output, shared 2-core
+# Xeon, CPython 3.11).
 LOWER_BOUND_MAX_BITS = 1 << 17
 
 
 def _limit(text: str) -> int:
     """A --limit value: an int, refused while parsing when negative."""
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -198,13 +207,11 @@ def _cmd_count(args) -> CommandResult:
 
 
 def _cmd_lower_bound(args) -> CommandResult:
-    # When p divides n, lower_bound_balanced refuses at once (exit 64), so
-    # only a coprime pair is estimated.
-    if math.gcd(args.p, args.n) == 1:
-        if _lower_bound_bits(args.p, args.n, LOWER_BOUND_MAX_BITS) > LOWER_BOUND_MAX_BITS:
-            raise BudgetError(f"the bound for p={args.p}, n={args.n} exceeds "
-                              f"2^{LOWER_BOUND_MAX_BITS}")
-    bound = str(lower_bound_balanced(args.p, args.n))
+    # One walk reads the orbits, refusing a pair whose orbits do not split
+    # (exit 64) or whose bound is past the cap (exit 65) before any
+    # factorial is formed.
+    sizes = _split_orbit_sizes(args.p, args.n, LOWER_BOUND_MAX_BITS)
+    bound = str(lower_bound_balanced(args.p, args.n, orbit_sizes=sizes))
     return CommandResult(
         "lower-bound", {"p": args.p, "n": args.n},
         ["p", "n", "bound"],
@@ -292,97 +299,125 @@ def _cmd_lacunary(args) -> CommandResult:
                  f"{row['exact']}" for row in rows])
 
 
-_HANDLERS = {
-    "weight": _cmd_weight,
-    "balanced": _cmd_balanced,
-    "sac": _cmd_sac,
-    "walsh": _cmd_walsh,
-    "bisect": _cmd_bisect,
-    "count": _cmd_count,
-    "lower-bound": _cmd_lower_bound,
-    "generate": _cmd_generate,
-    "scan-c1": _cmd_scan_c1,
-    "scan-c2": _cmd_scan_c2,
-    "lacunary": _cmd_lacunary,
+# The grammar of every subcommand: its handler, its help, its int
+# positionals, and its arguments that have a default, as name -> (kind,
+# default, help).  A name without dashes is an int positional that may be
+# left out; a kind of bool is a flag that takes no value.  Each subcommand
+# also takes --format.
+_GRAMMAR = {
+    "weight": (_cmd_weight, "weight of the elementary symmetric polynomial X(d,n)",
+               ("d", "n"), {}),
+    "balanced": (_cmd_balanced, "whether X(d,n) is balanced", ("d", "n"), {}),
+    "sac": (_cmd_sac, "whether X(d,n) satisfies the strict avalanche criterion",
+            ("d", "n"), {}),
+    "walsh": (_cmd_walsh, "Walsh spectrum of X(d,n) by input weight", ("d", "n"), {}),
+    "bisect": (_cmd_bisect, "signed bisections of the binomial row n", ("n",), {
+        "--enumerate": (bool, False, "list nontrivial solutions instead of counting"),
+        "--limit": (_limit, None, "cap on listed solutions")}),
+    "count": (_cmd_count, "census counts for symmetric functions over GF(p)",
+              ("p", "n"), {}),
+    "lower-bound": (_cmd_lower_bound,
+                    "orbit-splitting lower bound on balanced symmetric functions",
+                    ("p", "n"), {}),
+    "generate": (_cmd_generate, "construct distinct balanced symmetric functions",
+                 ("p", "n"), {
+                     "--limit": (_limit, 10, "how many functions to emit (default 10)")}),
+    "scan-c1": (_cmd_scan_c1, "compare exact balancedness with the conjectured set", (), {
+        "--n-max": (int, C1_MAX_N, None)}),
+    "scan-c2": (_cmd_scan_c2, "check weights against the strict quarter bound", (), {
+        "--n-max": (int, C2_DEFAULT_N, None)}),
+    "lacunary": (_cmd_lacunary,
+                 "binomial sums along residue classes mod 2^power, computed two ways",
+                 ("n", "power"), {
+                     "i": (int, None, "single residue to report (default: all)")}),
 }
+_FORMATS = ("text", "json", "csv")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format")
+def _value(kind, text: str):
+    """text read as kind (int, _limit or a tuple of choices), or None where
+    argparse would read it otherwise or refuse it: a text starting with
+    "-", a choice not listed, a non-int, a negative limit."""
+    if text[:1] == "-":
+        return None
+    if isinstance(kind, tuple):
+        return text if text in kind else None
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return None if kind is _limit and value < 0 else value
+
+
+def _parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a call in canonical form, read straight from
+    _GRAMMAR: a command, all of its positionals, then --format and the
+    command's own options, spelled in full, each followed by its value
+    (the last of a repeat wins).  They carry the attributes argparse would
+    give them.  Any other argv gives None."""
+    grammar = _GRAMMAR.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    _, _, required, optional = grammar
+    args = {"command": argv[0], "format": "text"}
+    at, end = 1, len(argv)
+    for name in required:
+        value = _value(int, argv[at]) if at < end else None
+        if value is None:
+            return None
+        args[name] = value
+        at += 1
+    for name, (kind, default, _) in optional.items():
+        if name[0] != "-" and at < end and argv[at][:1] != "-":
+            default = _value(kind, argv[at])
+            if default is None:
+                return None
+            at += 1
+        args[name.lstrip("-").replace("-", "_")] = default
+    while at < end:
+        flag = argv[at]
+        if flag == "--format":
+            kind = _FORMATS
+        elif flag[:2] == "--" and flag in optional:
+            kind = optional[flag][0]
+        else:
+            return None
+        dest = flag[2:].replace("-", "_")
+        if kind is bool:
+            args[dest] = True
+            at += 1
+            continue
+        value = _value(kind, argv[at + 1]) if at + 1 < end else None
+        if value is None:
+            return None
+        args[dest] = value
+        at += 2
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser of _GRAMMAR, for every argv that _parse leaves:
+    help, usage errors and the other spellings argparse accepts."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="symbalance",
         description="Exact balance, weight, and spectrum computations for "
                     "symmetric functions over prime fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    wp = sub.add_parser("weight", parents=[common],
-                        help="weight of the elementary symmetric polynomial X(d,n)")
-    wp.add_argument("d", type=int)
-    wp.add_argument("n", type=int)
-
-    bp = sub.add_parser("balanced", parents=[common],
-                        help="whether X(d,n) is balanced")
-    bp.add_argument("d", type=int)
-    bp.add_argument("n", type=int)
-
-    sp = sub.add_parser("sac", parents=[common],
-                        help="whether X(d,n) satisfies the strict avalanche criterion")
-    sp.add_argument("d", type=int)
-    sp.add_argument("n", type=int)
-
-    lp = sub.add_parser("walsh", parents=[common],
-                        help="Walsh spectrum of X(d,n) by input weight")
-    lp.add_argument("d", type=int)
-    lp.add_argument("n", type=int)
-
-    np_ = sub.add_parser("bisect", parents=[common],
-                         help="signed bisections of the binomial row n")
-    np_.add_argument("n", type=int)
-    np_.add_argument("--enumerate", action="store_true",
-                     help="list nontrivial solutions instead of counting")
-    np_.add_argument("--limit", type=_limit, default=None,
-                     help="cap on listed solutions")
-
-    cp = sub.add_parser("count", parents=[common],
-                        help="census counts for symmetric functions over GF(p)")
-    cp.add_argument("p", type=int)
-    cp.add_argument("n", type=int)
-
-    op = sub.add_parser("lower-bound", parents=[common],
-                        help="orbit-splitting lower bound on balanced symmetric functions")
-    op.add_argument("p", type=int)
-    op.add_argument("n", type=int)
-
-    gp = sub.add_parser("generate", parents=[common],
-                        help="construct distinct balanced symmetric functions")
-    gp.add_argument("p", type=int)
-    gp.add_argument("n", type=int)
-    gp.add_argument("--limit", type=_limit, default=10,
-                    help="how many functions to emit (default 10)")
-
-    c1 = sub.add_parser("scan-c1", parents=[common],
-                        help="compare exact balancedness with the conjectured set")
-    c1.add_argument("--n-max", type=int, default=C1_MAX_N)
-
-    c2 = sub.add_parser("scan-c2", parents=[common],
-                        help="check weights against the strict quarter bound")
-    c2.add_argument("--n-max", type=int, default=C2_DEFAULT_N)
-
-    ap = sub.add_parser("lacunary", parents=[common],
-                        help="binomial sums along residue classes mod 2^power, "
-                             "computed two ways")
-    ap.add_argument("n", type=int)
-    ap.add_argument("power", type=int)
-    ap.add_argument("i", type=int, nargs="?", default=None,
-                    help="single residue to report (default: all)")
+    for command, (_, command_help, required, optional) in _GRAMMAR.items():
+        cp = sub.add_parser(command, help=command_help)
+        cp.add_argument("--format", choices=_FORMATS, default="text", help="output format")
+        for name in required:
+            cp.add_argument(name, type=int)
+        for name, (kind, default, arg_help) in optional.items():
+            if kind is bool:
+                cp.add_argument(name, action="store_true", help=arg_help)
+            elif name[0] == "-":
+                cp.add_argument(name, type=kind, default=default, help=arg_help)
+            else:
+                cp.add_argument(name, type=kind, nargs="?", default=default, help=arg_help)
     return parser
-
-
-# Built once at import: parse_args keeps nothing between calls, since each
-# call fills a fresh namespace.
-_PARSER = _build_parser()
 
 
 def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
@@ -394,6 +429,8 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
                    "results": list(result.rows), "runtime_ms": elapsed_ms}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(result.columns)
         for row in result.rows:
@@ -404,10 +441,14 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as stop:  # argparse exits 2 on a usage error, 0 after --help
-        return EXIT_USAGE if stop.code else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as stop:  # argparse exits 2 on a usage error, 0 after --help
+            return EXIT_USAGE if stop.code else EXIT_OK
     # Exact answers run to 20k digits, past Python's int/str digit limit
     # (3.10.7 and later), so it is lifted while one is computed and printed.
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -423,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _answer(args) -> int:
     started = time.perf_counter()
     try:
-        result = _HANDLERS[args.command](args)
+        result = _GRAMMAR[args.command][0](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -4,6 +4,7 @@ from itertools import islice, permutations, product
 import pytest
 
 import oracles
+import symbalance.census as census
 from symbalance.bisection import count_trivial
 from symbalance.census import (
     _equal_partitions,
@@ -17,7 +18,7 @@ from symbalance.census import (
     generate_balanced,
     lower_bound_balanced,
 )
-from symbalance.errors import BudgetError, OrbitSplitError
+from symbalance.errors import BudgetError, InternalCheckError, OrbitSplitError
 from symbalance.exactnum import binom, exact_div, multinomial
 from symbalance.symfun import enumerate_classes
 
@@ -195,6 +196,19 @@ def test_all_orbits_divisible_iff_p_ndivides_n():
     for p in (2, 3, 5, 7):
         for n in range(1, 13):
             assert all_orbits_divisible(p, n) == (n % p != 0)
+
+
+def test_orbit_split_routes_are_compared(monkeypatch):
+    # The gcd decides, and the multiplicities must agree with it: one
+    # reaching p on a coprime pair, or none on a pair p divides, is a fault.
+    monkeypatch.setattr(census, "_multiplicities", lambda parts, p: [p])
+    for check in (all_orbits_divisible, lower_bound_balanced):
+        with pytest.raises(InternalCheckError, match="disagree at p=2, n=5"):
+            check(2, 5)
+    monkeypatch.setattr(census, "_multiplicities", lambda parts, p: [1] * p)
+    for check in (all_orbits_divisible, lower_bound_balanced):
+        with pytest.raises(InternalCheckError, match="disagree at p=3, n=6"):
+            check(3, 6)
 
 
 def test_lower_bound_values():

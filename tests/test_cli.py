@@ -6,7 +6,9 @@ against frozen expectations; CSV output is checked byte-for-byte where
 the contract demands it.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -17,6 +19,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import symbalance.census as census
@@ -553,6 +557,21 @@ def test_lower_bound_answers_under_its_output_cap(capsys, unlimited_digits, p, n
         0, f"at least {bound} balanced symmetric functions for p={p}, n={n}\n", "")
 
 
+def test_lower_bound_reads_each_orbit_once(monkeypatch, capsys):
+    bound = lower_bound_balanced(3, 7)
+    read = Counter()
+    multiplicities = census._multiplicities
+
+    def counted(parts, p):
+        read[parts] += 1
+        return multiplicities(parts, p)
+
+    monkeypatch.setattr(census, "_multiplicities", counted)
+    assert run(capsys, ["lower-bound", "3", "7"]) == (
+        0, f"at least {bound} balanced symmetric functions for p=3, n=7\n", "")
+    assert read == Counter(census._partitions(7, 3))
+
+
 def test_lower_bound_cap_is_on_log2_of_the_bound(capsys, unlimited_digits):
     # lower_bound_balanced(2, n) = 2^((n + 1)/2): exactly 2^131072 is
     # answered, twice that is refused.
@@ -605,12 +624,13 @@ def test_lacunary_answers_past_the_old_96_bit_route(capsys, argv):
     assert out.splitlines() == ["i,exact,trig"] + expected
 
 
-# Modules that neither importing the package nor running any command loads:
-# scans run serially, so no process machinery; mpmath and fractions load
-# only with the library's weight closed forms; records are named tuples, so
-# dataclasses (and the inspect it pulls in) never load.
+# Modules that neither importing the package nor running any well-formed
+# command loads: scans run serially, so no process machinery; mpmath and
+# fractions load only with the library's weight closed forms; records are
+# named tuples, so dataclasses (and the inspect it pulls in) never load;
+# argparse (with gettext and locale) loads only for help and usage errors.
 HEAVY_MODULES = ("'mpmath', 'dataclasses', 'inspect', 'fractions', "
-                 "'concurrent.futures', 'multiprocessing'")
+                 "'concurrent.futures', 'multiprocessing', 'argparse', 'gettext', 'locale'")
 
 
 def run_fresh_interpreter(lines):
@@ -643,6 +663,43 @@ def test_no_command_loads_mpmath():
         "    sys.exit(f'exit codes {codes}')",
     ])
     assert done.returncode == 0, done.stderr
+
+
+def test_text_and_json_commands_load_no_csv():
+    done = run_fresh_interpreter([
+        "import contextlib, io, sys",
+        "import symbalance.cli as cli",
+        "commands = [['weight', '3', '6'], ['lacunary', '10', '2', '--format', 'json'],",
+        "            ['bisect', '8', '--enumerate', '--limit', '2', '--format', 'json'],",
+        "            ['generate', '3', '2', '--limit', '1'], ['scan-c1', '--n-max', '20']]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(argv) for argv in commands]",
+        "if codes != [0] * 5:",
+        "    sys.exit(f'exit codes {codes}')",
+        "if 'csv' in sys.modules:",
+        "    sys.exit('csv loaded')",
+    ])
+    assert done.returncode == 0, done.stderr
+
+
+def run_module(*argv):
+    """python -m symbalance.cli, which reads its argv from sys.argv."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-m", "symbalance.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+                          capture_output=True, text=True)
+
+
+def test_module_entry_point_reads_sys_argv():
+    done = run_module("weight", "3", "6")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "wt(X(3,6)) = 20\n", "")
+    done = run_module("--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: symbalance [-h]")
+    done = run_module("weight", "x", "6")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        64, "", "usage: symbalance weight [-h] [--format {text,json,csv}] d n\n"
+                "symbalance weight: error: argument d: invalid int value: 'x'\n")
 
 
 # ---------------------------------------------------------------- parser
@@ -683,3 +740,104 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "usage" in out
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_INTS = st.integers(-30, 30).map(str) | st.sampled_from(
+    ["+5", " 5", "5 ", " -5", "5_0", "-0", "٣"])
+_TOKENS = _INTS | st.sampled_from([
+    *cli._GRAMMAR, "--format", "--form", "--format=json", "--enumerate", "--enum",
+    "--limit", "--lim", "--limit=2", "--n-max", "--n", "--n-max=5", "--", "-h", "--help",
+    "text", "json", "csv", "xml", "", "x", "1.5", "i", "-", "--workers", "-x"])
+
+
+@st.composite
+def canonical_argvs(draw):
+    """A call in the form _parse reads: a command, its positionals, then
+    --format and the command's own options, each with a value it takes."""
+    command = draw(st.sampled_from(list(cli._GRAMMAR)))
+    _, _, required, optional = cli._GRAMMAR[command]
+    argv = [command, *(str(draw(st.integers(0, 99))) for _ in required)]
+    if "i" in optional and draw(st.booleans()):
+        argv.append(str(draw(st.integers(0, 99))))
+    flags = [flag for flag in optional if flag[0] == "-"] + ["--format"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        kind = cli._FORMATS if flag == "--format" else optional[flag][0]
+        argv += ([flag] if kind is bool else
+                 [flag, draw(st.sampled_from(kind)) if isinstance(kind, tuple)
+                  else str(draw(st.integers(0, 99)))])
+    return argv
+
+
+@st.composite
+def near_canonical_argvs(draw):
+    """A canonical call with one or two tokens replaced, inserted or dropped."""
+    argv = draw(canonical_argvs())
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "insert", "drop"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, draw(_TOKENS))
+        elif edit == "replace":
+            argv[at] = draw(_TOKENS)
+        else:
+            del argv[at]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=st.lists(_TOKENS, max_size=7) | near_canonical_argvs())
+def test_fast_parse_defers_or_agrees_with_argparse(argv):
+    # Every argv _parse reads gets argparse's attributes; where argparse
+    # prints help or a usage error, _parse defers to it.
+    parsed = cli._parse(argv)
+    if parsed is not None:
+        assert vars(parsed) == argparse_vars(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=canonical_argvs())
+def test_fast_parse_reads_every_canonical_call(argv):
+    parsed = cli._parse(argv)
+    assert parsed is not None
+    assert vars(parsed) == argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv, parsed, code, stream, message", [
+    # i has taken its default by the time 1289 comes, so argparse refuses it
+    (["lacunary", "87", "12", "--format", "json", "1289"], None,
+     64, "err", "error: unrecognized arguments: 1289\n"),
+    # a negative positional is argparse's to read; the library refuses n < d
+    (["weight", "5", "-3"], None, 64, "err", "error: need 1 <= d <= n, got d=5, n=-3\n"),
+    (["bisect", "--enumerate", "8"], None, 0, "out", "+---++--+\n+--++---+\n"),
+    (["weight", "3", "6", "--format", "json", "--format", "csv"],
+     {"command": "weight", "format": "csv", "d": 3, "n": 6}, 0, "out", "d,n,weight\n3,6,20\n"),
+    (["weight", "5", "6", "-h"], None, 0, "out", "output format\n"),
+    (["lacunary", "10", "2", "--format", "csv"],
+     {"command": "lacunary", "format": "csv", "n": 10, "power": 2, "i": None},
+     0, "out", "3,240,240\n"),
+    # a limit is non-negative however it is spelled
+    (["bisect", "8", "--enumerate", "--limit", " -1"], None,
+     64, "err", "error: argument --limit: must be non-negative, not -1\n"),
+    # a positional's name is not an option
+    (["lacunary", "87", "12", "5", "i", "3"], None,
+     64, "err", "error: unrecognized arguments: i 3\n"),
+    ([], None, 64, "err", "error: the following arguments are required: command\n"),
+    (["no-such-command"], None, 64, "err", "(choose from 'weight', 'balanced', 'sac', "
+     "'walsh', 'bisect', 'count', 'lower-bound', 'generate', 'scan-c1', 'scan-c2', "
+     "'lacunary')\n"),
+])
+def test_fast_parse_named_cases(capsys, argv, parsed, code, stream, message):
+    fast = cli._parse(argv)
+    assert (fast if fast is None else vars(fast)) == parsed
+    done_code, out, err = run(capsys, argv)
+    assert done_code == code
+    assert {"out": out, "err": err}[stream].endswith(message)
