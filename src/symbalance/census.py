@@ -170,22 +170,22 @@ def _split_orbit_sizes(p: int, n: int, max_bits: float = math.inf) -> list[int]:
     return sizes
 
 
-def lower_bound_balanced(p: int, n: int, *,
-                         orbit_sizes: Optional[list[int]] = None) -> int:
+def lower_bound_balanced(p: int, n: int) -> int:
     """Product over orbits of (orbit)! / ((orbit/p)!)^p: the number of ways
     to split every orbit into p labeled equal groups.  Each split yields a
     distinct balanced function, so this bounds their count from below.
 
     Requires gcd(n, p) = 1; when p divides n the all-equal class forms an
     orbit of size 1 that cannot be split, and the bound is not asserted.
-    A caller that has already read the orbits with _split_orbit_sizes(p, n,
-    max_bits), to refuse a bound too large to form, passes their sizes as
-    orbit_sizes, so that no orbit is read twice.
     """
-    if orbit_sizes is None:
-        orbit_sizes = _split_orbit_sizes(p, n)
+    return _split_count(p, _split_orbit_sizes(p, n))
+
+
+def _split_count(p: int, sizes: list[int]) -> int:
+    """Product over the orbit sizes of size! / ((size/p)!)^p, for sizes read
+    by _split_orbit_sizes."""
     return _product([exact_div(math.factorial(size), math.factorial(exact_div(size, p)) ** p)
-                     for size in orbit_sizes])
+                     for size in sizes])
 
 
 def _orbits(p: int, n: int) -> list[list[int]]:

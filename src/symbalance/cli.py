@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from .bisection import find_all_solutions
 from .census import (
+    _split_count,
     _split_orbit_sizes,
     brute_count_balanced_symmetric,
     count_balanced_all,
@@ -80,13 +81,15 @@ LOWER_BOUND_MAX_BITS = 1 << 17
 
 def _limit(text: str) -> int:
     """A --limit value: an int, refused while parsing when negative."""
-    import argparse
-
     try:
         value = int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
     return value
 
@@ -210,8 +213,7 @@ def _cmd_lower_bound(args) -> CommandResult:
     # One walk reads the orbits, refusing a pair whose orbits do not split
     # (exit 64) or whose bound is past the cap (exit 65) before any
     # factorial is formed.
-    sizes = _split_orbit_sizes(args.p, args.n, LOWER_BOUND_MAX_BITS)
-    bound = str(lower_bound_balanced(args.p, args.n, orbit_sizes=sizes))
+    bound = str(_split_count(args.p, _split_orbit_sizes(args.p, args.n, LOWER_BOUND_MAX_BITS)))
     return CommandResult(
         "lower-bound", {"p": args.p, "n": args.n},
         ["p", "n", "bound"],
@@ -337,16 +339,15 @@ _FORMATS = ("text", "json", "csv")
 def _value(kind, text: str):
     """text read as kind (int, _limit or a tuple of choices), or None where
     argparse would read it otherwise or refuse it: a text starting with
-    "-", a choice not listed, a non-int, a negative limit."""
+    "-", a choice not listed, or a text that kind refuses."""
     if text[:1] == "-":
         return None
     if isinstance(kind, tuple):
         return text if text in kind else None
     try:
-        value = int(text)
-    except ValueError:
+        return kind(text)
+    except Exception:
         return None
-    return None if kind is _limit and value < 0 else value
 
 
 def _parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:

@@ -528,6 +528,17 @@ def test_lower_bound_refuses_past_its_output_cap(monkeypatch, capsys):
     assert result == (65, "", "error: the bound for p=13, n=10 exceeds 2^131072\n")
 
 
+def test_lower_bound_forms_no_factorial_before_its_refusal(monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("a factorial was formed before the budget check")
+
+    monkeypatch.setattr(math, "factorial", forbidden)
+    assert run(capsys, ["lower-bound", "13", "10"]) == (
+        65, "", "error: the bound for p=13, n=10 exceeds 2^131072\n")
+    assert run(capsys, ["lower-bound", "2", "1000000001"]) == (
+        65, "", "error: the bound for p=2, n=1000000001 exceeds 2^131072\n")
+
+
 @pytest.fixture
 def unlimited_digits():
     """Lift the int/str digit limit (Python 3.10.7 and later) while a test
@@ -812,9 +823,6 @@ def test_fast_parse_reads_every_canonical_call(argv):
 
 
 @pytest.mark.parametrize("argv, parsed, code, stream, message", [
-    # i has taken its default by the time 1289 comes, so argparse refuses it
-    (["lacunary", "87", "12", "--format", "json", "1289"], None,
-     64, "err", "error: unrecognized arguments: 1289\n"),
     # a negative positional is argparse's to read; the library refuses n < d
     (["weight", "5", "-3"], None, 64, "err", "error: need 1 <= d <= n, got d=5, n=-3\n"),
     (["bisect", "--enumerate", "8"], None, 0, "out", "+---++--+\n+--++---+\n"),
@@ -831,9 +839,6 @@ def test_fast_parse_reads_every_canonical_call(argv):
     (["lacunary", "87", "12", "5", "i", "3"], None,
      64, "err", "error: unrecognized arguments: i 3\n"),
     ([], None, 64, "err", "error: the following arguments are required: command\n"),
-    (["no-such-command"], None, 64, "err", "(choose from 'weight', 'balanced', 'sac', "
-     "'walsh', 'bisect', 'count', 'lower-bound', 'generate', 'scan-c1', 'scan-c2', "
-     "'lacunary')\n"),
 ])
 def test_fast_parse_named_cases(capsys, argv, parsed, code, stream, message):
     fast = cli._parse(argv)
@@ -841,3 +846,27 @@ def test_fast_parse_named_cases(capsys, argv, parsed, code, stream, message):
     done_code, out, err = run(capsys, argv)
     assert done_code == code
     assert {"out": out, "err": err}[stream].endswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    # a positional after an option: whether argparse reads 1289 as i, once
+    # i has taken its default, differs between CPython releases
+    ["lacunary", "87", "12", "--format", "json", "1289"],
+    # how argparse lists the choices of a bad command differs too
+    ["no-such-command"],
+])
+def test_fast_parse_defers_what_argparse_reads_by_release(capsys, argv):
+    assert cli._parse(argv) is None
+    try:
+        parsed = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        parsed = None
+    parser_out, parser_err = capsys.readouterr()
+    if parsed is None:
+        assert run(capsys, argv) == (cli.EXIT_USAGE, parser_out, parser_err)
+        return
+    expected_code = cli._answer(parsed)
+    expected = capsys.readouterr()
+    code, out, err = run(capsys, argv)
+    assert (code, strip_runtime(out), err) == (
+        expected_code, strip_runtime(expected.out), expected.err)
