@@ -17,7 +17,7 @@ from itertools import chain, compress, groupby, islice
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
-from .exactnum import binom, exact_div, is_prime, multinomial
+from .exactnum import _multinomial, binom, exact_div, is_prime
 from .symfun import SymmetricFunction, _count_vectors, enumerate_classes
 
 BRUTE_MAX_BITS = 96
@@ -80,30 +80,48 @@ def _factorial_valuation(m: int, q: int) -> int:
     return e
 
 
-def _partitions(n: int, p: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into at most p positive parts, as non-increasing
-    tuples in descending lexicographic order: one per orbit, the nonzero
-    symbol counts of its classes.  Each next partition lowers the last part
-    that can drop by one while the parts after it, none larger, still fit
-    in the slots left; those parts are then refilled greedily."""
+def _orbit_walk(n: int, p: int) -> Iterator[tuple[list[int], list[int]]]:
+    """One step per orbit, through the partitions of n into at most p
+    positive parts in descending lexicographic order: the nonzero symbol
+    counts of the orbit's classes.  A partition of k parts is held as its
+    distinct parts, descending, and its multiplicities: the p - k symbols
+    absent from its classes, then how many parts equal each distinct part.
+    Both lists are the walk's own state, changed by the next step.
+
+    Each next partition lowers the last part that can drop by one while
+    the parts after it, none larger, still fit in the slots left; those
+    parts are then refilled greedily, as copies of the lowered part and
+    one remainder.  If the last of a run of equal parts cannot drop, no
+    part of the run can, so the run is passed over whole."""
     _check_args(p, n)
-    parts: list[int] = []
-    rest = n
+    parts, multiplicities = ([n], [p - 1, 1]) if n else ([], [p])
     while True:
-        while rest:
-            q = min(rest, parts[-1]) if parts else rest
-            parts.append(q)
-            rest -= q
-        yield tuple(parts)
+        yield parts, multiplicities
+        rest = 0
         while parts:
-            q = parts.pop()
-            rest += q
-            if q > 1 and rest - q + 1 <= (p - len(parts) - 1) * (q - 1):
-                parts.append(q - 1)
-                rest -= q - 1
+            q = parts[-1]
+            # Lowered by one, q leaves rest + 1 for the p - k free slots,
+            # each at most q - 1.
+            if q > 1 and rest < multiplicities[0] * (q - 1):
                 break
+            parts.pop()
+            count = multiplicities.pop()
+            multiplicities[0] += count
+            rest += q * count
         else:
             return
+        if multiplicities[-1] == 1:
+            parts.pop()
+            multiplicities.pop()
+        else:
+            multiplicities[-1] -= 1
+        copies, left = divmod(rest + q, q - 1)
+        parts.append(q - 1)
+        multiplicities.append(copies)
+        if left:
+            parts.append(left)
+            multiplicities.append(1)
+        multiplicities[0] += 1 - copies - (left > 0)
 
 
 def _multiplicities(parts: tuple[int, ...], p: int) -> list[int]:
@@ -132,8 +150,7 @@ def _scanned_multiplicities(p: int, n: int) -> Iterator[list[int]]:
     """The multiplicities of each orbit when gcd(n, p) = 1, in one walk of
     the partitions, checked on the way by the scan of all_orbits_divisible:
     a multiplicity reaching p raises InternalCheckError at that orbit."""
-    for parts in _partitions(n, p):
-        multiplicities = _multiplicities(parts, p)
+    for _, multiplicities in _orbit_walk(n, p):
         if max(multiplicities) >= p:
             raise _disagreement(p, n)
         yield multiplicities
@@ -159,7 +176,9 @@ def _split_orbit_sizes(p: int, n: int, max_bits: float = math.inf) -> list[int]:
     sizes = []
     bits = 0.0
     for multiplicities in _scanned_multiplicities(p, n):
-        size = multinomial(p, multiplicities)
+        # The walk's multiplicities are non-negative and sum to p, so
+        # multinomial's checks of them are skipped.
+        size = _multinomial(multiplicities)
         if size >> 64:
             bits = math.inf
         else:

@@ -14,39 +14,24 @@ straight from that table.  Any other argv, help included, goes to an
 argparse parser built from the same table when it is needed, so argparse
 loads only for help, usage errors and the other spellings it accepts, and
 answers them as it always has.
+
+Each handler imports the modules it runs when it runs, so a call loads
+errors, this module and only the modules of its command: weight and
+balanced load symfun and exactnum, sac and walsh add spectral, count,
+lower-bound and generate load census (bisect adds bisection), the scans
+load conjectures, and lacunary only exactnum.  json loads only for
+--format json, and CSV is written without the csv module.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from collections import namedtuple
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from .bisection import find_all_solutions
-from .census import (
-    _split_count,
-    _split_orbit_sizes,
-    brute_count_balanced_symmetric,
-    count_balanced_all,
-    count_symmetric,
-    generate_balanced,
-    lower_bound_balanced,
-)
-from .conjectures import (
-    C1_MAX_N,
-    C2_DEFAULT_N,
-    conjecture1_mismatches,
-    conjecture2_violations,
-    scan_conjecture1,
-    scan_conjecture2,
-)
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
-from .exactnum import binom, lacunary_sums, lacunary_trig_sums, pascal_row
-from .spectral import is_sac_elem, walsh_spectrum
-from .symfun import balance_in_row, check_degree, elem_values, weight_elem
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -72,9 +57,9 @@ LACUNARY_ALL_MAX_WORK = 149 << 24
 # The orbit-splitting bound is refused while its log2, estimated before
 # any factorial is formed, exceeds this.  The orbits are read once.  At
 # the cap, lower-bound 2 262143 (exactly 2^131072, 39,457 digits) took
-# 0.95-1.6 s as a process and 3 491 0.26-0.33 s; a refusal reads at most
-# about 2^17 orbits, so lower-bound 2 1000000001 exits 65 in 0.8-1.07 s
-# and 13 10 in 0.1 s (best and worst of 3-5, csv output, shared 2-core
+# 0.38-0.59 s as a process and 3 491 0.14-0.20 s; a refusal reads at most
+# about 2^17 orbits, so lower-bound 2 1000000001 exits 65 in 0.34-0.47 s
+# and 13 10 in 0.1 s (best and worst of 3, csv output, shared 2-core
 # Xeon, CPython 3.11).
 LOWER_BOUND_MAX_BITS = 1 << 17
 
@@ -108,6 +93,8 @@ class CommandResult(namedtuple("CommandResult",
 
 
 def _cmd_weight(args) -> CommandResult:
+    from .symfun import weight_elem
+
     weight = str(weight_elem(args.d, args.n))
     return CommandResult(
         "weight", {"d": args.d, "n": args.n},
@@ -117,6 +104,9 @@ def _cmd_weight(args) -> CommandResult:
 
 
 def _cmd_balanced(args) -> CommandResult:
+    from .exactnum import pascal_row
+    from .symfun import balance_in_row, check_degree
+
     check_degree(args.d, args.n)
     weight, balanced = balance_in_row(args.d, pascal_row(args.n))
     weight = str(weight)
@@ -130,6 +120,8 @@ def _cmd_balanced(args) -> CommandResult:
 
 
 def _cmd_sac(args) -> CommandResult:
+    from .spectral import is_sac_elem
+
     ok = is_sac_elem(args.d, args.n)
     verdict = "satisfies" if ok else "does not satisfy"
     return CommandResult(
@@ -140,6 +132,9 @@ def _cmd_sac(args) -> CommandResult:
 
 
 def _cmd_walsh(args) -> CommandResult:
+    from .spectral import walsh_spectrum
+    from .symfun import elem_values
+
     if args.n > WALSH_MAX_N:
         raise BudgetError(f"n={args.n} exceeds the spectrum cap {WALSH_MAX_N}")
     spectrum = walsh_spectrum(elem_values(args.d, args.n))
@@ -151,6 +146,8 @@ def _cmd_walsh(args) -> CommandResult:
 
 
 def _cmd_bisect(args) -> CommandResult:
+    from .bisection import find_all_solutions
+
     if args.enumerate:
         report = find_all_solutions(args.n, enumerate_witnesses=True,
                                     witness_limit=args.limit)
@@ -188,6 +185,8 @@ def _over_count_cap(p: int, n: int) -> bool:
 
 
 def _cmd_count(args) -> CommandResult:
+    from .census import brute_count_balanced_symmetric, count_balanced_all, count_symmetric
+
     if _over_count_cap(args.p, args.n):
         # The decimal of p^n alone takes seconds at n = 10^6.
         inputs = (args.p ** args.n if args.n * args.p.bit_length() <= 14000
@@ -210,6 +209,8 @@ def _cmd_count(args) -> CommandResult:
 
 
 def _cmd_lower_bound(args) -> CommandResult:
+    from .census import _split_count, _split_orbit_sizes
+
     # One walk reads the orbits, refusing a pair whose orbits do not split
     # (exit 64) or whose bound is past the cap (exit 65) before any
     # factorial is formed.
@@ -223,6 +224,9 @@ def _cmd_lower_bound(args) -> CommandResult:
 
 
 def _cmd_generate(args) -> CommandResult:
+    from .census import generate_balanced
+    from .exactnum import binom
+
     if binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
         raise BudgetError(
             f"p={args.p}, n={args.n} has more than {GENERATE_MAX_CLASSES} classes")
@@ -238,7 +242,10 @@ def _cmd_generate(args) -> CommandResult:
 
 
 def _cmd_scan_c1(args) -> CommandResult:
-    cells = scan_conjecture1(args.n_max)
+    from .conjectures import C1_MAX_N, conjecture1_mismatches, scan_conjecture1
+
+    n_max = C1_MAX_N if args.n_max is None else args.n_max
+    cells = scan_conjecture1(n_max)
     bad = conjecture1_mismatches(cells)
     rows = ({"d": c.d, "n": c.n, "weight": str(c.weight),
              "balanced": c.balanced, "predicted": c.predicted} for c in cells)
@@ -246,34 +253,47 @@ def _cmd_scan_c1(args) -> CommandResult:
     def lines():
         return [*(f"mismatch at d={c.d}, n={c.n}: balanced={c.balanced}, "
                   f"predicted={c.predicted}" for c in bad),
-                f"scanned {len(cells)} cells with 2 <= d <= n <= {args.n_max}; "
+                f"scanned {len(cells)} cells with 2 <= d <= n <= {n_max}; "
                 f"mismatches: {len(bad)}"]
 
     return CommandResult(
-        "scan-c1", {"n_max": args.n_max},
+        "scan-c1", {"n_max": n_max},
         ["d", "n", "weight", "balanced", "predicted"], rows, lines,
         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
 
 
 def _cmd_scan_c2(args) -> CommandResult:
-    cells = scan_conjecture2(args.n_max)
+    from .conjectures import C2_DEFAULT_N, conjecture2_violations, scan_conjecture2
+
+    n_max = C2_DEFAULT_N if args.n_max is None else args.n_max
+    cells = scan_conjecture2(n_max)
     bad = conjecture2_violations(cells)
-    rows = ({"d": c.d, "n": c.n, "weight": str(c.weight),
-             "bound": str(c.bound), "below": c.below} for c in cells)
+
+    def rows():
+        # The bound 2^(n-2) depends on n alone: one decimal per row n.
+        bounds = {}
+        for c in cells:
+            bound = bounds.get(c.n)
+            if bound is None:
+                bound = bounds[c.n] = str(c.bound)
+            yield {"d": c.d, "n": c.n, "weight": str(c.weight), "bound": bound,
+                   "below": c.below}
 
     def lines():
         return [*(f"violation at d={c.d}, n={c.n}: weight {c.weight} reaches "
                   f"2^(n-2) = {c.bound}" for c in bad),
                 f"scanned {len(cells)} cells with wt(d) >= 6, "
-                f"2(d-1) <= n <= {args.n_max}; violations: {len(bad)}"]
+                f"2(d-1) <= n <= {n_max}; violations: {len(bad)}"]
 
     return CommandResult(
-        "scan-c2", {"n_max": args.n_max},
-        ["d", "n", "weight", "bound", "below"], rows, lines,
+        "scan-c2", {"n_max": n_max},
+        ["d", "n", "weight", "bound", "below"], rows(), lines,
         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
 
 
 def _cmd_lacunary(args) -> CommandResult:
+    from .exactnum import lacunary_sums, lacunary_trig_sums
+
     if args.n > LACUNARY_MAX_N:
         raise BudgetError(f"n={args.n} exceeds the cap {LACUNARY_MAX_N}")
     if args.power > LACUNARY_MAX_POWER:
@@ -305,7 +325,9 @@ def _cmd_lacunary(args) -> CommandResult:
 # positionals, and its arguments that have a default, as name -> (kind,
 # default, help).  A name without dashes is an int positional that may be
 # left out; a kind of bool is a flag that takes no value.  Each subcommand
-# also takes --format.
+# also takes --format.  A scan's --n-max defaults to None, read by its
+# handler as the default of the conjectures module, which is imported only
+# when a scan runs.
 _GRAMMAR = {
     "weight": (_cmd_weight, "weight of the elementary symmetric polynomial X(d,n)",
                ("d", "n"), {}),
@@ -325,9 +347,9 @@ _GRAMMAR = {
                  ("p", "n"), {
                      "--limit": (_limit, 10, "how many functions to emit (default 10)")}),
     "scan-c1": (_cmd_scan_c1, "compare exact balancedness with the conjectured set", (), {
-        "--n-max": (int, C1_MAX_N, None)}),
+        "--n-max": (int, None, None)}),
     "scan-c2": (_cmd_scan_c2, "check weights against the strict quarter bound", (), {
-        "--n-max": (int, C2_DEFAULT_N, None)}),
+        "--n-max": (int, None, None)}),
     "lacunary": (_cmd_lacunary,
                  "binomial sums along residue classes mod 2^power, computed two ways",
                  ("n", "power"), {
@@ -426,19 +448,29 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
         for line in result.lines():
             print(line)
     elif fmt == "json":
+        import json
+
         payload = {"command": result.command, "parameters": result.parameters,
                    "results": list(result.rows), "runtime_ms": elapsed_ms}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        import csv
+        columns = result.columns
+        sys.stdout.write(",".join(columns) + "\n")
+        sys.stdout.writelines(",".join(map(_csv_field, map(row.__getitem__, columns))) + "\n"
+                              for row in result.rows)
 
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([
-                ("true" if row[c] else "false") if isinstance(row[c], bool)
-                else row[c]
-                for c in result.columns])
+
+def _csv_field(value) -> str:
+    """A CSV field as csv.writer writes it (QUOTE_MINIMAL): booleans as
+    true/false, and quoted only when it holds a comma or a quote, which is
+    doubled.  No field of a command holds a line break, or is empty alone
+    on its row."""
+    if value is True or value is False:
+        return "true" if value else "false"
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -86,11 +86,17 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
         raise ValueError("parts must be non-negative")
     if sum(parts) != n:
         raise ValueError(f"parts {tuple(parts)} do not sum to n={n}")
+    return _multinomial(parts)
+
+
+def _multinomial(parts: Iterable[int]) -> int:
+    """sum(parts)! / (parts[0]! ... parts[-1]!) for non-negative parts,
+    unchecked, as a product of binomials."""
     out = 1
     acc = 0
     for p in parts:
         acc += p
-        out *= binom(acc, p)
+        out *= math.comb(acc, p)
     return out
 
 

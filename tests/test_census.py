@@ -9,8 +9,9 @@ from symbalance.bisection import count_trivial
 from symbalance.census import (
     _equal_partitions,
     _multiplicities,
+    _orbit_walk,
     _orbits,
-    _partitions,
+    _split_orbit_sizes,
     all_orbits_divisible,
     brute_count_balanced_symmetric,
     count_balanced_all,
@@ -103,6 +104,13 @@ def test_brute_count_budget():
         brute_count_balanced_symmetric(2, 0)
 
 
+def _partitions(n, p):
+    """The partitions _orbit_walk steps through, as tuples of parts."""
+    for parts, multiplicities in _orbit_walk(n, p):
+        yield tuple(part for part, count in zip(parts, multiplicities[1:])
+                    for _ in range(count))
+
+
 def _partition_of(m):
     """The partition of the orbit with multiplicity vector m (m[l] symbols
     appear exactly l times): each count l >= 1, m[l] times, descending."""
@@ -192,6 +200,33 @@ def test_divisibility_when_parts_small():
                     assert multinomial(p, m) % p == 0
 
 
+def _count_partitions(n, p):
+    """Partitions of n into at most p parts, by the recurrence over the
+    largest part: q(n, p) = q(n, p - 1) + q(n - p, p)."""
+    table = [1] + [0] * n
+    for parts in range(1, p + 1):
+        for m in range(parts, n + 1):
+            table[m] += table[m - parts]
+    return table[n]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1000), (3, 300), (5, 80), (7, 40), (13, 30),
+                                  (31, 25), (101, 20)])
+def test_orbit_walk_keeps_the_multiplicities_of_each_partition(p, n):
+    # The multiplicities kept as the walk steps are those read off each
+    # partition, and the orbit sizes are the multinomials of them.
+    walked = [(tuple(parts), list(multiplicities)) for parts, multiplicities in _orbit_walk(n, p)]
+    partitions = list(_partitions(n, p))
+    assert len(walked) == len(partitions) == _count_partitions(n, p)
+    assert partitions == sorted(set(partitions), reverse=True)
+    for (parts, multiplicities), partition in zip(walked, partitions):
+        assert parts == tuple(sorted(set(partition), reverse=True))
+        assert multiplicities == _multiplicities(partition, p)
+    if n % p:
+        assert _split_orbit_sizes(p, n) == [multinomial(p, _multiplicities(partition, p))
+                                            for partition in partitions]
+
+
 def test_all_orbits_divisible_iff_p_ndivides_n():
     for p in (2, 3, 5, 7):
         for n in range(1, 13):
@@ -201,7 +236,7 @@ def test_all_orbits_divisible_iff_p_ndivides_n():
 def test_orbit_split_routes_are_compared(monkeypatch):
     # The gcd decides, and the multiplicities must agree with it: one
     # reaching p on a coprime pair, or none on a pair p divides, is a fault.
-    monkeypatch.setattr(census, "_multiplicities", lambda parts, p: [p])
+    monkeypatch.setattr(census, "_orbit_walk", lambda n, p: iter([([n], [p])]))
     for check in (all_orbits_divisible, lower_bound_balanced):
         with pytest.raises(InternalCheckError, match="disagree at p=2, n=5"):
             check(2, 5)

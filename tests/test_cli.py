@@ -23,8 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import symbalance.bisection as bisection
 import symbalance.census as census
 import symbalance.cli as cli
+import symbalance.conjectures as conjectures
+import symbalance.exactnum as exactnum
 from symbalance.census import lower_bound_balanced
 from symbalance.cli import main
 from symbalance.conjectures import BoundCell, ScanCell
@@ -280,7 +283,7 @@ def test_scan_c1_csv_header_and_booleans(capsys):
 
 def test_scan_c1_counterexample_exit(monkeypatch, capsys):
     fake = [ScanCell(d=3, n=5, weight=16, balanced=True, predicted=False)]
-    monkeypatch.setattr(cli, "scan_conjecture1", lambda n_max: fake)
+    monkeypatch.setattr(conjectures, "scan_conjecture1", lambda n_max: fake)
     code, out, _ = run(capsys, ["scan-c1", "--n-max", "5"])
     assert code == 2
     assert "mismatch at d=3, n=5" in out
@@ -304,7 +307,7 @@ def test_scan_c2_csv_header(capsys):
 
 def test_scan_c2_counterexample_exit(monkeypatch, capsys):
     fake = [BoundCell(d=63, n=124, weight=1 << 122, bound=1 << 122, below=False)]
-    monkeypatch.setattr(cli, "scan_conjecture2", lambda n_max: fake)
+    monkeypatch.setattr(conjectures, "scan_conjecture2", lambda n_max: fake)
     code, out, _ = run(capsys, ["scan-c2", "--n-max", "124"])
     assert code == 2
     assert "violation at d=63, n=124" in out
@@ -332,6 +335,47 @@ def test_lacunary_residue_out_of_range(capsys):
     code, _, err = run(capsys, ["lacunary", "10", "2", "9"])
     assert code == 64
     assert "error" in err
+
+
+# ---------------------------------------------------------------- csv
+
+
+def csv_writer_output(result):
+    """result's CSV as csv.writer writes it, booleans as true/false."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(result.columns)
+    for row in result.rows:
+        writer.writerow([("true" if row[c] else "false") if isinstance(row[c], bool)
+                         else row[c] for c in result.columns])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weight", "3", "6"], ["balanced", "2", "7"], ["sac", "3", "4"], ["walsh", "2", "8"],
+    ["bisect", "8"], ["bisect", "10", "--enumerate"], ["count", "2", "3"],
+    ["lower-bound", "3", "4"], ["generate", "3", "2"],
+    # values of 10 and up are joined by commas, so the field is quoted
+    ["generate", "13", "2", "--limit", "3"],
+    ["scan-c1", "--n-max", "12"], ["scan-c2", "--n-max", "140"], ["lacunary", "10", "3"],
+])
+def test_csv_matches_csv_writer(capsys, argv):
+    expected = csv_writer_output(cli._GRAMMAR[argv[0]][0](cli._parse(argv)))
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, out, err) == (0, expected, "")
+    if argv[:2] == ["generate", "13"]:
+        assert out.count('"') == 6
+
+
+def test_csv_quotes_commas_and_quotes_as_csv_writer_does(capsys):
+    rows = [{"a": 'say "hi"', "b": "1,2", "c": True, "d": -5},
+            {"a": '"', "b": "", "c": False, "d": 0},
+            {"a": "x", "b": ",", "c": True, "d": 10 ** 30}]
+    result = cli.CommandResult("x", {}, ["a", "b", "c", "d"], rows, lambda: [])
+    cli._emit(result, "csv", 0)
+    out = capsys.readouterr().out
+    assert out == csv_writer_output(result)
+    assert out.splitlines()[1] == '"say ""hi""","1,2",true,-5'
 
 
 # ---------------------------------------------------------------- failures
@@ -377,8 +421,8 @@ def test_negative_limit_is_refused_while_parsing(monkeypatch, capsys, fmt, argv)
     def forbidden(*args, **kwargs):
         raise AssertionError("a handler ran on a negative limit")
 
-    monkeypatch.setattr(cli, "find_all_solutions", forbidden)
-    monkeypatch.setattr(cli, "generate_balanced", forbidden)
+    monkeypatch.setattr(bisection, "find_all_solutions", forbidden)
+    monkeypatch.setattr(census, "generate_balanced", forbidden)
     code, out, err = run(capsys, argv + ["--format", fmt])
     assert (code, out) == (64, "")
     assert err.endswith(f"symbalance {argv[0]}: error: argument --limit: "
@@ -406,7 +450,7 @@ def test_orbit_split_refusal_walks_no_partitions(monkeypatch, capsys, argv):
     def forbidden(n, p):
         raise AssertionError("the refusal walked the partitions")
 
-    monkeypatch.setattr(census, "_partitions", forbidden)
+    monkeypatch.setattr(census, "_orbit_walk", forbidden)
     assert run(capsys, argv) == (
         64, "", f"error: p=3 divides n={argv[2]}: some orbit cannot be split into p groups\n")
 
@@ -433,7 +477,7 @@ def test_walsh_answers_at_the_cap(capsys):
 
 def test_route_disagreement_maps_to_internal(monkeypatch, capsys):
     # All residues and one residue run the same loop against one patched route.
-    monkeypatch.setattr(cli, "lacunary_trig_sums", lambda n, power, residues: (-1, -1))
+    monkeypatch.setattr(exactnum, "lacunary_trig_sums", lambda n, power, residues: (-1, -1))
     for argv in (["lacunary", "4", "1"], ["lacunary", "4", "1", "0"]):
         code, _, err = run(capsys, argv)
         assert code == 70
@@ -445,7 +489,7 @@ def test_count_refuses_before_the_product_of_binomials(monkeypatch, capsys):
     def forbidden(p, n):
         raise AssertionError("count_balanced_all ran before the budget check")
 
-    monkeypatch.setattr(cli, "count_balanced_all", forbidden)
+    monkeypatch.setattr(census, "count_balanced_all", forbidden)
     code, out, err = run(capsys, ["count", "3", "12"])
     assert (code, out) == (65, "")
     assert err == "error: assignment space p^91 exceeds the 2^96 cap\n"
@@ -457,7 +501,7 @@ def test_count_refuses_a_large_p_before_computing(monkeypatch, capsys, p):
     def forbidden(p, n):
         raise AssertionError("count_symmetric ran before the budget check")
 
-    monkeypatch.setattr(cli, "count_symmetric", forbidden)
+    monkeypatch.setattr(census, "count_symmetric", forbidden)
     started = time.perf_counter()
     result = run(capsys, ["count", str(p), "1"])
     assert time.perf_counter() - started < 1
@@ -518,10 +562,12 @@ def test_a_p_past_the_proven_primality_range_is_refused_at_once(capsys, command)
 
 def test_lower_bound_refuses_past_its_output_cap(monkeypatch, capsys):
     # 13 10 is about 2^131507: the product of factorials is never formed.
-    def forbidden(p, n):
-        raise AssertionError("lower_bound_balanced ran before the budget check")
+    def forbidden(p, sizes):
+        raise AssertionError("the product of factorials ran before the budget check")
 
-    monkeypatch.setattr(cli, "lower_bound_balanced", forbidden)
+    # The command forms the bound with census._split_count, as
+    # lower_bound_balanced does.
+    monkeypatch.setattr(census, "_split_count", forbidden)
     started = time.perf_counter()
     result = run(capsys, ["lower-bound", "13", "10"])
     assert time.perf_counter() - started < 1
@@ -571,16 +617,21 @@ def test_lower_bound_answers_under_its_output_cap(capsys, unlimited_digits, p, n
 def test_lower_bound_reads_each_orbit_once(monkeypatch, capsys):
     bound = lower_bound_balanced(3, 7)
     read = Counter()
-    multiplicities = census._multiplicities
+    walk = census._orbit_walk
 
-    def counted(parts, p):
-        read[parts] += 1
-        return multiplicities(parts, p)
+    def key(parts, multiplicities):
+        # A partition's distinct parts and their counts fix it.
+        return tuple(parts), tuple(multiplicities)
 
-    monkeypatch.setattr(census, "_multiplicities", counted)
+    def counted(n, p):
+        for state in walk(n, p):
+            read[key(*state)] += 1
+            yield state
+
+    monkeypatch.setattr(census, "_orbit_walk", counted)
     assert run(capsys, ["lower-bound", "3", "7"]) == (
         0, f"at least {bound} balanced symmetric functions for p=3, n=7\n", "")
-    assert read == Counter(census._partitions(7, 3))
+    assert read == Counter(key(*state) for state in walk(7, 3))
 
 
 def test_lower_bound_cap_is_on_log2_of_the_bound(capsys, unlimited_digits):
@@ -689,6 +740,70 @@ def test_text_and_json_commands_load_no_csv():
         "    sys.exit(f'exit codes {codes}')",
         "if 'csv' in sys.modules:",
         "    sys.exit('csv loaded')",
+    ])
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_submodule():
+    # Each public name is imported when first read; submodules, import *
+    # and dir() work as they did when the package imported them all.
+    done = run_fresh_interpreter([
+        "import sys",
+        "import symbalance",
+        "names = len(symbalance.__all__), symbalance.__version__",
+        "loaded = sorted(m for m in sys.modules if m.startswith('symbalance'))",
+        "if loaded != ['symbalance'] or names != (41, '0.1.0'):",
+        "    sys.exit(f'loaded {loaded}, names {names}')",
+        "if symbalance.census.lower_bound_balanced(3, 4) != 19440:",
+        "    sys.exit('symbalance.census after a bare import')",
+        "if symbalance.weight_elem is not sys.modules['symbalance.symfun'].weight_elem:",
+        "    sys.exit('weight_elem is not symfun.weight_elem')",
+        "star = {}",
+        "exec('from symbalance import *', star)",
+        "if sorted(set(star) - {'__builtins__'}) != sorted(symbalance.__all__):",
+        "    sys.exit('import * differs from __all__')",
+        "if not {*symbalance.__all__, 'census', 'symfun'} <= set(dir(symbalance)):",
+        "    sys.exit('dir() misses a name')",
+        "if hasattr(symbalance, 'pascal_row') or hasattr(symbalance, 'cli'):",
+        "    sys.exit('a name outside __all__ is exported')",
+    ])
+    assert done.returncode == 0, done.stderr
+
+
+# One well-formed call of each command, in each format, and the package
+# modules it runs besides cli and errors.
+COMMAND_MODULES = [
+    (["weight", "1", "1", "--format", "json"], ["exactnum", "symfun"]),
+    (["balanced", "4", "100"], ["exactnum", "symfun"]),
+    (["sac", "3", "10", "--format", "csv"], ["exactnum", "spectral", "symfun"]),
+    (["walsh", "3", "10", "--format", "json"], ["exactnum", "spectral", "symfun"]),
+    (["bisect", "12", "--enumerate", "--format", "csv"],
+     ["bisection", "census", "exactnum", "symfun"]),
+    (["count", "3", "3"], ["census", "exactnum", "symfun"]),
+    (["lower-bound", "3", "4", "--format", "csv"], ["census", "exactnum", "symfun"]),
+    (["generate", "13", "2", "--limit", "2", "--format", "csv"],
+     ["census", "exactnum", "symfun"]),
+    (["scan-c1", "--n-max", "20"], ["conjectures", "exactnum", "symfun"]),
+    (["scan-c2", "--n-max", "130", "--format", "csv"], ["conjectures", "exactnum", "symfun"]),
+    (["lacunary", "60", "3", "--format", "json"], ["exactnum"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[a[0] for a, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # json loads only for JSON output, and csv never.
+    expected = sorted(["symbalance", "symbalance.cli", "symbalance.errors",
+                       *(f"symbalance.{module}" for module in modules),
+                       *(["json"] if "json" in argv else [])])
+    done = run_fresh_interpreter([
+        "import contextlib, io, sys",
+        "import symbalance.cli as cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = cli.main({argv!r})",
+        "loaded = sorted(m for m in sys.modules",
+        "                if m in ('json', 'csv') or m.startswith('symbalance'))",
+        f"if (code, loaded) != (0, {expected!r}):",
+        "    sys.exit(f'exit code {code}, loaded {loaded}')",
     ])
     assert done.returncode == 0, done.stderr
 

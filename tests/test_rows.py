@@ -10,7 +10,6 @@ from collections import Counter
 import pytest
 
 import symbalance
-import symbalance.cli as cli
 import symbalance.conjectures as conjectures
 import symbalance.exactnum as exactnum
 import symbalance.symfun as symfun
@@ -131,7 +130,7 @@ def test_all_residue_lacunary_builds_its_row_once(monkeypatch, capsys):
 
 
 def test_balanced_command_builds_its_row_once(monkeypatch, capsys):
-    built = _count_rows(monkeypatch, cli, symfun)
+    built = _count_rows(monkeypatch, exactnum, symfun)
     assert main(["balanced", "4", "4095"]) == 0
     assert built == Counter([4095])
     assert capsys.readouterr().out.endswith("balanced: true\n")
