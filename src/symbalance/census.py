@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
 from .exactnum import _multinomial, binom, exact_div, is_prime
-from .symfun import SymmetricFunction, _count_vectors, enumerate_classes
+from .symfun import SymmetricFunction, _class_sizes, _count_vectors, _valid_function
 
 BRUTE_MAX_BITS = 96
 
@@ -280,7 +280,7 @@ def generate_balanced(p: int, n: int, limit: Optional[int] = None) -> Iterator[S
         for it in splits:
             assign(next(it))
         while True:
-            yield SymmetricFunction(p, n, tuple(values))
+            yield _valid_function(p, n, tuple(values))
             for k in reversed(range(len(orbits))):
                 split = next(splits[k], None)
                 if split is not None:
@@ -308,7 +308,7 @@ def brute_count_balanced_symmetric(p: int, n: int) -> int:
     if classes * math.log2(p) > BRUTE_MAX_BITS:
         raise BudgetError(
             f"assignment space p^{classes} exceeds the 2^{BRUTE_MAX_BITS} cap")
-    sizes = sorted((cls.size() for cls in enumerate_classes(p, n)), reverse=True)
+    sizes = sorted(_class_sizes(p, n), reverse=True)
     target = p ** (n - 1)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 

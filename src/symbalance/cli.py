@@ -16,11 +16,13 @@ loads only for help, usage errors and the other spellings it accepts, and
 answers them as it always has.
 
 Each handler imports the modules it runs when it runs, so a call loads
-errors, this module and only the modules of its command: weight and
-balanced load symfun and exactnum, sac and walsh add spectral, count,
-lower-bound and generate load census (bisect adds bisection), the scans
-load conjectures, and lacunary only exactnum.  json loads only for
---format json, and CSV is written without the csv module.
+errors, this module and only the modules of its command: weight loads
+symfun alone, balanced symfun and exactnum, sac and walsh add spectral,
+count, lower-bound and generate load census (bisect adds bisection), the
+scans load conjectures, and lacunary only exactnum.  JSON and CSV are
+written here (see _json and _csv), not by the json and csv modules; json
+loads only to escape a str that needs it, which no command prints, so no
+call loads json or csv.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
+from operator import itemgetter
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
 
@@ -79,15 +82,16 @@ def _limit(text: str) -> int:
     return value
 
 
-class CommandResult(namedtuple("CommandResult",
-                               "command parameters columns rows lines exit_code",
+class CommandResult(namedtuple("CommandResult", "command parameters table lines exit_code",
                                defaults=(EXIT_OK,))):
-    """An answer as rows for JSON and CSV, and a function that builds its
-    text lines, called only when text is printed.  Each big integer is
-    turned into decimal once, and the lines reuse that string.  A lines
-    function keeps only what it prints, so computed witnesses are freed
-    before the output is written.  The rows are read at most once, so a
-    scan passes a generator over its cells that text output never runs."""
+    """An answer as a table for JSON and CSV, and a function that builds its
+    text lines, called only when text is printed.  The table maps each
+    column name, in CSV order, to the column's values (ints, bools or
+    strs), so no row is a dict of its own.  Each big integer is turned into
+    decimal once, and the lines reuse that string.  A lines function keeps
+    only what it prints, so computed witnesses are freed before the output
+    is written.  A column is read at most once, so a scan passes lazy
+    columns over its cells that text output never reads."""
 
     __slots__ = ()
 
@@ -98,8 +102,7 @@ def _cmd_weight(args) -> CommandResult:
     weight = str(weight_elem(args.d, args.n))
     return CommandResult(
         "weight", {"d": args.d, "n": args.n},
-        ["d", "n", "weight"],
-        [{"d": args.d, "n": args.n, "weight": weight}],
+        {"d": [args.d], "n": [args.n], "weight": [weight]},
         lambda: [f"wt(X({args.d},{args.n})) = {weight}"])
 
 
@@ -113,8 +116,7 @@ def _cmd_balanced(args) -> CommandResult:
     verdict = "true" if balanced else "false"
     return CommandResult(
         "balanced", {"d": args.d, "n": args.n},
-        ["d", "n", "weight", "balanced"],
-        [{"d": args.d, "n": args.n, "weight": weight, "balanced": balanced}],
+        {"d": [args.d], "n": [args.n], "weight": [weight], "balanced": [balanced]},
         lambda: [f"X({args.d},{args.n}): weight {weight} of {1 << args.n} inputs; "
                  f"balanced: {verdict}"])
 
@@ -126,8 +128,7 @@ def _cmd_sac(args) -> CommandResult:
     verdict = "satisfies" if ok else "does not satisfy"
     return CommandResult(
         "sac", {"d": args.d, "n": args.n},
-        ["d", "n", "sac"],
-        [{"d": args.d, "n": args.n, "sac": ok}],
+        {"d": [args.d], "n": [args.n], "sac": [ok]},
         lambda: [f"X({args.d},{args.n}) {verdict} the strict avalanche criterion"])
 
 
@@ -137,12 +138,11 @@ def _cmd_walsh(args) -> CommandResult:
 
     if args.n > WALSH_MAX_N:
         raise BudgetError(f"n={args.n} exceeds the spectrum cap {WALSH_MAX_N}")
-    spectrum = walsh_spectrum(elem_values(args.d, args.n))
-    rows = [{"y": y, "value": str(value)}
-            for y, value in enumerate(spectrum.by_weight)]
+    values = list(map(str, walsh_spectrum(elem_values(args.d, args.n)).by_weight))
     return CommandResult(
-        "walsh", {"d": args.d, "n": args.n}, ["y", "value"], rows,
-        lambda: [f"W[{row['y']}] = {row['value']}" for row in rows])
+        "walsh", {"d": args.d, "n": args.n},
+        {"y": range(len(values)), "value": values},
+        lambda: [f"W[{y}] = {value}" for y, value in enumerate(values)])
 
 
 def _cmd_bisect(args) -> CommandResult:
@@ -151,24 +151,22 @@ def _cmd_bisect(args) -> CommandResult:
     if args.enumerate:
         report = find_all_solutions(args.n, enumerate_witnesses=True,
                                     witness_limit=args.limit)
-        rows = [{"index": i, "delta": "".join("+" if x > 0 else "-" for x in sv.delta)}
-                for i, sv in enumerate(report.witnesses)]
+        deltas = ["".join("+" if x > 0 else "-" for x in sv.delta) for sv in report.witnesses]
         # The lines keep the counts, not the witnesses.
         counts = report.total, report.trivial, report.nontrivial
         return CommandResult(
             "bisect", {"n": args.n, "limit": args.limit},
-            ["index", "delta"], rows,
-            lambda: [_bisect_summary(args.n, *counts)] + [row["delta"] for row in rows])
+            {"index": range(len(deltas)), "delta": deltas},
+            lambda: [_bisect_summary(args.n, *counts), *deltas])
     report = find_all_solutions(args.n)
+    total, trivial, nontrivial = map(str, (report.total, report.trivial, report.nontrivial))
     return CommandResult(
         "bisect", {"n": args.n, "limit": None},
-        ["n", "total", "trivial", "nontrivial"],
-        [{"n": args.n, "total": str(report.total), "trivial": str(report.trivial),
-          "nontrivial": str(report.nontrivial)}],
-        lambda: [_bisect_summary(args.n, report.total, report.trivial, report.nontrivial)])
+        {"n": [args.n], "total": [total], "trivial": [trivial], "nontrivial": [nontrivial]},
+        lambda: [_bisect_summary(args.n, total, trivial, nontrivial)])
 
 
-def _bisect_summary(n: int, total: int, trivial: int, nontrivial: int) -> str:
+def _bisect_summary(n: int, total, trivial, nontrivial) -> str:
     return f"n={n}: {total} solutions ({trivial} trivial, {nontrivial} nontrivial)"
 
 
@@ -200,9 +198,8 @@ def _cmd_count(args) -> CommandResult:
     over_all = str(count_balanced_all(args.p, args.n))
     return CommandResult(
         "count", {"p": args.p, "n": args.n},
-        ["p", "n", "symmetric", "balanced_all", "balanced_symmetric"],
-        [{"p": args.p, "n": args.n, "symmetric": symmetric,
-          "balanced_all": over_all, "balanced_symmetric": among_symmetric}],
+        {"p": [args.p], "n": [args.n], "symmetric": [symmetric],
+         "balanced_all": [over_all], "balanced_symmetric": [among_symmetric]},
         lambda: [f"symmetric functions: {symmetric}",
                  f"balanced functions (all): {over_all}",
                  f"balanced symmetric functions: {among_symmetric}"])
@@ -217,8 +214,7 @@ def _cmd_lower_bound(args) -> CommandResult:
     bound = str(_split_count(args.p, _split_orbit_sizes(args.p, args.n, LOWER_BOUND_MAX_BITS)))
     return CommandResult(
         "lower-bound", {"p": args.p, "n": args.n},
-        ["p", "n", "bound"],
-        [{"p": args.p, "n": args.n, "bound": bound}],
+        {"p": [args.p], "n": [args.n], "bound": [bound]},
         lambda: [f"at least {bound} balanced symmetric functions "
                  f"for p={args.p}, n={args.n}"])
 
@@ -232,23 +228,39 @@ def _cmd_generate(args) -> CommandResult:
             f"p={args.p}, n={args.n} has more than {GENERATE_MAX_CLASSES} classes")
     # Values of 10 and up take two digits, so they need a separator.
     sep = "," if args.p > 10 else ""
-    rows = []
-    for index, fn in enumerate(generate_balanced(args.p, args.n, limit=args.limit)):
-        rows.append({"index": index, "values": sep.join(map(str, fn.values))})
+    values = [sep.join(map(str, fn.values))
+              for fn in generate_balanced(args.p, args.n, limit=args.limit)]
     return CommandResult(
         "generate", {"p": args.p, "n": args.n, "limit": args.limit},
-        ["index", "values"], rows,
-        lambda: [f"{row['index']}: {row['values']}" for row in rows])
+        {"index": range(len(values)), "values": values},
+        lambda: [f"{index}: {value}" for index, value in enumerate(values)])
+
+
+def _cell_columns(cells: list, fields: tuple[str, ...]) -> dict:
+    """Scan cells, namedtuples with these fields, as one lazy column per
+    field, so text output never reads them."""
+    return {field: map(itemgetter(i), cells) for i, field in enumerate(fields)}
+
+
+def _bound_decimals(cells: list) -> Iterator[str]:
+    """The decimal of each cell's bound, formed once per row n, since the
+    bound 2^(n-2) depends on n alone."""
+    decimals = {}
+    for cell in cells:
+        decimal = decimals.get(cell.n)
+        if decimal is None:
+            decimal = decimals[cell.n] = str(cell.bound)
+        yield decimal
 
 
 def _cmd_scan_c1(args) -> CommandResult:
-    from .conjectures import C1_MAX_N, conjecture1_mismatches, scan_conjecture1
+    from .conjectures import C1_MAX_N, ScanCell, conjecture1_mismatches, scan_conjecture1
 
     n_max = C1_MAX_N if args.n_max is None else args.n_max
     cells = scan_conjecture1(n_max)
     bad = conjecture1_mismatches(cells)
-    rows = ({"d": c.d, "n": c.n, "weight": str(c.weight),
-             "balanced": c.balanced, "predicted": c.predicted} for c in cells)
+    table = _cell_columns(cells, ScanCell._fields)
+    table["weight"] = map(str, table["weight"])
 
     def lines():
         return [*(f"mismatch at d={c.d}, n={c.n}: balanced={c.balanced}, "
@@ -256,28 +268,19 @@ def _cmd_scan_c1(args) -> CommandResult:
                 f"scanned {len(cells)} cells with 2 <= d <= n <= {n_max}; "
                 f"mismatches: {len(bad)}"]
 
-    return CommandResult(
-        "scan-c1", {"n_max": n_max},
-        ["d", "n", "weight", "balanced", "predicted"], rows, lines,
-        EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
+    return CommandResult("scan-c1", {"n_max": n_max}, table, lines,
+                         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
 
 
 def _cmd_scan_c2(args) -> CommandResult:
-    from .conjectures import C2_DEFAULT_N, conjecture2_violations, scan_conjecture2
+    from .conjectures import BoundCell, C2_DEFAULT_N, conjecture2_violations, scan_conjecture2
 
     n_max = C2_DEFAULT_N if args.n_max is None else args.n_max
     cells = scan_conjecture2(n_max)
     bad = conjecture2_violations(cells)
-
-    def rows():
-        # The bound 2^(n-2) depends on n alone: one decimal per row n.
-        bounds = {}
-        for c in cells:
-            bound = bounds.get(c.n)
-            if bound is None:
-                bound = bounds[c.n] = str(c.bound)
-            yield {"d": c.d, "n": c.n, "weight": str(c.weight), "bound": bound,
-                   "below": c.below}
+    table = _cell_columns(cells, BoundCell._fields)
+    table["weight"] = map(str, table["weight"])
+    table["bound"] = _bound_decimals(cells)
 
     def lines():
         return [*(f"violation at d={c.d}, n={c.n}: weight {c.weight} reaches "
@@ -285,10 +288,8 @@ def _cmd_scan_c2(args) -> CommandResult:
                 f"scanned {len(cells)} cells with wt(d) >= 6, "
                 f"2(d-1) <= n <= {n_max}; violations: {len(bad)}"]
 
-    return CommandResult(
-        "scan-c2", {"n_max": n_max},
-        ["d", "n", "weight", "bound", "below"], rows(), lines,
-        EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
+    return CommandResult("scan-c2", {"n_max": n_max}, table, lines,
+                         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
 
 
 def _cmd_lacunary(args) -> CommandResult:
@@ -307,18 +308,19 @@ def _cmd_lacunary(args) -> CommandResult:
         residues = range(modulus)
     else:
         residues = (args.i,)
-    rows = []
+    sums = []
     for i, exact, trig in zip(residues, lacunary_sums(args.n, args.power, residues),
                               lacunary_trig_sums(args.n, args.power, residues)):
         if exact != trig:
             raise InternalCheckError(
                 f"lacunary routes disagree at n={args.n}, i={i}: {exact} vs {trig}")
-        rows.append({"i": i, "exact": str(exact), "trig": str(trig)})
+        sums.append(str(exact))
+    # The routes agree, so one decimal serves both columns.
     return CommandResult(
         "lacunary", {"n": args.n, "power": args.power, "i": args.i},
-        ["i", "exact", "trig"], rows,
-        lambda: [f"sum of C({args.n},j) over j = {row['i']} (mod {modulus}): "
-                 f"{row['exact']}" for row in rows])
+        {"i": residues, "exact": sums, "trig": sums},
+        lambda: [f"sum of C({args.n},j) over j = {i} (mod {modulus}): {exact}"
+                 for i, exact in zip(residues, sums)])
 
 
 # The grammar of every subcommand: its handler, its help, its int
@@ -448,16 +450,50 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
         for line in result.lines():
             print(line)
     elif fmt == "json":
-        import json
-
-        payload = {"command": result.command, "parameters": result.parameters,
-                   "results": list(result.rows), "runtime_ms": elapsed_ms}
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        sys.stdout.write(_json(result, elapsed_ms))
     else:
-        columns = result.columns
-        sys.stdout.write(",".join(columns) + "\n")
-        sys.stdout.writelines(",".join(map(_csv_field, map(row.__getitem__, columns))) + "\n"
-                              for row in result.rows)
+        sys.stdout.write(_csv(result.table))
+
+
+# JSON and CSV are written here, not by a stdlib encoder, row by row: each
+# value by _json_value or _csv_field, each row then one format, in a plain
+# loop (a comprehension is a call of its own in CPython 3.11, a cost the one
+# row of most answers would feel).  A table of _COLUMNS_FROM rows or more is
+# encoded a column at a time instead (see _by_column), which costs about a
+# microsecond a column and saves a few tenths of one a value; timed
+# in-process on walsh, lacunary and generate tables, the two ways cross
+# between 10 and 12 rows in both formats.
+_COLUMNS_FROM = 12
+_BOOLS = {True: "true", False: "false"}
+# The bytes json.dumps writes unescaped inside a string: printable ASCII
+# but " and \.
+_JSON_PLAIN = bytes(c for c in range(0x20, 0x7f) if c not in b'"\\')
+
+
+def _json_plain(text: str) -> bool:
+    """Whether json.dumps writes text between its quotes unchanged."""
+    return text.isascii() and not text.encode().translate(None, _JSON_PLAIN)
+
+
+def _json_value(value) -> str:
+    """One int, bool, str or None as json.dumps writes it (ensure_ascii).
+    json loads only to escape a str, which no command prints."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        # _json_plain, inline as it runs once a value
+        if value.isascii() and not value.encode().translate(None, _JSON_PLAIN):
+            return '"' + value + '"'
+        from json.encoder import encode_basestring_ascii
+
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _BOOLS.get(value, "null")
+    raise TypeError(f"a value of type {type(value).__name__} has no JSON form here")
+
+
+def _csv_plain(text: str) -> bool:
+    return "," not in text and '"' not in text
 
 
 def _csv_field(value) -> str:
@@ -466,10 +502,72 @@ def _csv_field(value) -> str:
     doubled.  No field of a command holds a line break, or is empty alone
     on its row."""
     if value is True or value is False:
-        return "true" if value else "false"
+        return _BOOLS[value]
     text = str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
+    # _csv_plain, inline as it runs once a value
+    return text if "," not in text and '"' not in text else '"' + text.replace('"', '""') + '"'
+
+
+def _by_column(rows: list, field, plain, quoted):
+    """The rows' texts as field writes them, found a column at a time: by
+    one map of str or of _BOOLS for a column of ints or of bools, and of
+    quoted for a column of strs that plain passes as one text."""
+    columns = []
+    for values in zip(*rows):
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            columns.append(map(str, values))
+        elif kinds == {bool}:
+            columns.append(map(_BOOLS.__getitem__, values))
+        elif kinds == {str} and plain("".join(values)):
+            columns.append(map(quoted, values))
+        else:
+            columns.append(map(field, values))
+    return zip(*columns)
+
+
+def _json(result: CommandResult, elapsed_ms: int) -> str:
+    """The payload as json.dumps(payload, sort_keys=True,
+    separators=(",", ":")) writes it, byte for byte, for the payload with
+    keys command, parameters, results (one object per row of the table)
+    and runtime_ms, and a line end."""
+    table, parameters = result.table, result.parameters
+    names, labels = sorted(table), sorted(parameters)
+    # The command and the keys are checked as one text.
+    texts = [result.command, *names, *labels]
+    if not _json_plain("".join(texts)):
+        texts = [_json_value(text)[1:-1] for text in texts]
+    command, *keys = texts
+    row = _json_object(keys[:len(names)])
+    rows = list(zip(*map(table.__getitem__, names)))
+    if len(rows) < _COLUMNS_FROM:
+        results = []
+        for values in rows:
+            results.append(row % tuple(map(_json_value, values)))
+    else:
+        results = map(row.__mod__, _by_column(rows, _json_value, _json_plain, '"%s"'.__mod__))
+    values = tuple(map(_json_value, map(parameters.__getitem__, labels)))
+    return '{"command":"%s","parameters":%s,"results":[%s],"runtime_ms":%d}\n' % (
+        command, _json_object(keys[len(names):]) % values, ",".join(results), elapsed_ms)
+
+
+def _json_object(keys: list) -> str:
+    r"""The %-pattern of a JSON object with these escaped keys, a %s for
+    each value.  No escaped key holds a NUL (it is written \u0000), so NUL
+    marks the value slots while each % of a key is doubled."""
+    text = '{"' + '":\0,"'.join(keys) + '":\0}' if keys else "{}"
+    return text.replace("%", "%%").replace("\0", "%s")
+
+
+def _csv(table: dict) -> str:
+    r"""The table as csv.writer writes it (QUOTE_MINIMAL, "\n" line ends)."""
+    text = ",".join(table) + "\n"
+    rows = list(zip(*table.values()))
+    if len(rows) >= _COLUMNS_FROM:
+        lines = map(",".join, _by_column(rows, _csv_field, _csv_plain, str))
+        return text + "".join(map("%s\n".__mod__, lines))
+    for values in rows:
+        text += ",".join(map(_csv_field, values)) + "\n"
     return text
 
 

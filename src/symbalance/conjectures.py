@@ -26,7 +26,7 @@ from .exactnum import (
     pascal_rows,
     sinpi_frac,
 )
-from .symfun import balance_in_row, weight_in_row
+from .symfun import _balance, _parity_mask, weight_in_row
 
 if TYPE_CHECKING:
     import mpmath
@@ -65,7 +65,9 @@ def scan_conjecture1(n_max: int) -> list[ScanCell]:
         raise ValueError("n_max must be at least 2")
     if n_max > C1_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C1_MAX_N}")
-    return [ScanCell(d, n, *balance_in_row(d, row), predicted_balanced(d, n))
+    # One parity mask per degree, read by every row up to n_max.
+    masks = {d: _parity_mask(d, n_max) for d in range(2, n_max + 1)}
+    return [ScanCell(d, n, *_balance(d, row, masks[d]), predicted_balanced(d, n))
             for n, row in pascal_rows(2, n_max) for d in range(2, n + 1)]
 
 
@@ -77,12 +79,17 @@ def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:
     if n_max > C2_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C2_MAX_N}")
     degrees = [d for d in range(63, n_max // 2 + 2) if d.bit_count() >= 6]
-    weights = {}
-    # Row by row, each stepped from the last; 63 is the first degree.
+    by_degree = [[] for _ in degrees]
+    # Row by row, each stepped from the last; 63 is the first degree.  Each
+    # degree's cells are appended in n order.
     for n, row in pascal_rows(2 * (63 - 1), n_max):
-        weights.update(((d, n), weight_in_row(d, row)) for d in degrees if n >= 2 * (d - 1))
-    return [BoundCell(d, n, w, 1 << (n - 2), w < 1 << (n - 2))
-            for (d, n), w in sorted(weights.items())]
+        bound = 1 << (n - 2)
+        for d, cells in zip(degrees, by_degree):
+            if n < 2 * (d - 1):
+                break
+            w = weight_in_row(d, row)
+            cells.append(BoundCell(d, n, w, bound, w < bound))
+    return [cell for cells in by_degree for cell in cells]
 
 
 def conjecture1_mismatches(cells: list[ScanCell]) -> list[ScanCell]:

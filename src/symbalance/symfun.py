@@ -6,6 +6,11 @@ symbols).  For p = 2 a class is just an input weight and the compact
 WeightFunction form applies; the degree-d elementary symmetric form takes
 the value C(j, d) mod 2 on inputs of weight j, since exactly C(j, d) of its
 monomials are all-ones there.
+
+Importing this module loads errors and nothing else of the package: the
+weight walk needs only math, and the functions that call exactnum
+(MultisetClass.size, SymmetricFunction, enumerate_classes,
+is_balanced_elem and _class_sizes) import it when they run.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from operator import sub
 from typing import Iterator
 
 from .errors import InternalCheckError
-from .exactnum import binom, is_prime, multinomial, pascal_row
 
 
 class MultisetClass(namedtuple("MultisetClass", "p n counts")):
@@ -34,6 +38,8 @@ class MultisetClass(namedtuple("MultisetClass", "p n counts")):
 
     def size(self) -> int:
         """Number of input vectors in the class."""
+        from .exactnum import multinomial
+
         return multinomial(self.n, self.counts)
 
 
@@ -43,6 +49,8 @@ class SymmetricFunction(namedtuple("SymmetricFunction", "p n values")):
     __slots__ = ()
 
     def __new__(cls, p: int, n: int, values: tuple[int, ...]):
+        from .exactnum import binom
+
         if len(values) != binom(p + n - 1, n):
             raise ValueError("one value per class is required")
         if any(not 0 <= v < p for v in values):
@@ -72,8 +80,24 @@ def _count_vectors(p: int, n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, cuts + (n,), (0,) + cuts))
 
 
+def _class_sizes(p: int, n: int) -> Iterator[int]:
+    """The size of each multiset class, in enumerate_classes order, for
+    p >= 1 and n >= 0 (unchecked), without a class record each."""
+    from .exactnum import _multinomial
+
+    return map(_multinomial, _count_vectors(p, n))
+
+
+def _valid_function(p: int, n: int, values: tuple[int, ...]) -> SymmetricFunction:
+    """SymmetricFunction(p, n, values) for values that are valid by
+    construction, one in [0, p) per class, made without the checks."""
+    return SymmetricFunction._make((p, n, values))
+
+
 def enumerate_classes(p: int, n: int) -> list[MultisetClass]:
     """All multiset classes, lexicographically ascending on count vectors."""
+    from .exactnum import is_prime
+
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if n < 0:
@@ -149,20 +173,35 @@ def weight_elem(d: int, n: int) -> int:
     return total
 
 
-# Swaps the bytes 0 and 1 of a parity mask.
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-
-
 def balance_in_row(d: int, row: tuple[int, ...]) -> tuple[int, bool]:
     """Weight and balance of X(d, n) for row = pascal_row(n), the balance
     decided by two routes that must agree: weight = 2^(n-1), and the signed
-    sum over weights sum_j C(n, j) (-1)^(C(j, d)) = 0, which reads every
-    entry of the row."""
+    sum over weights sum_j C(n, j) (-1)^(C(j, d)) = 0.  The signed route
+    reads every entry of the row: it checks that the row is its own mirror
+    image, then sums its lower half (see _balance)."""
     n = len(row) - 1
     check_degree(d, n)
-    odd = _parity_mask(d, n)
+    return _balance(d, row, _parity_mask(d, n))
+
+
+def _balance(d: int, row: tuple[int, ...], odd: bytes) -> tuple[int, bool]:
+    """balance_in_row for 1 <= d <= n, with odd[j] = C(j, d) mod 2 for
+    j <= n (odd may run past n; a scan passes one mask per degree).
+
+    The lower half row[:h + 1], h = n // 2, is compared with the mirrored
+    upper half, which pascal_row and pascal_rows build from the same int
+    objects, so the comparison costs almost nothing there.  With that
+    symmetry the signed sum is 2 sum(half) (the middle entry once for even
+    n) minus twice the entries at j with odd[j] = 1, summed from the half
+    row once as j = k and once as j = n - k > h."""
+    n = len(row) - 1
+    h = n // 2
+    half = row[:h + 1]
+    if half != row[:n - h - 1:-1]:
+        raise InternalCheckError(f"row is not symmetric at d={d}, n={n}")
     w = weight_in_row(d, row)
-    signed = sum(compress(row, odd.translate(_FLIP))) - sum(compress(row, odd))
+    total = 2 * sum(half) - (half[h] if n % 2 == 0 else 0)
+    signed = total - 2 * (sum(compress(half, odd)) + sum(compress(half, odd[n:h:-1])))
     by_weight = w == 1 << (n - 1)
     by_sign = signed == 0
     if by_weight != by_sign or signed != (1 << n) - 2 * w:
@@ -172,5 +211,7 @@ def balance_in_row(d: int, row: tuple[int, ...]) -> tuple[int, bool]:
 
 def is_balanced_elem(d: int, n: int) -> bool:
     """Balance of the elementary form (see balance_in_row)."""
+    from .exactnum import pascal_row
+
     check_degree(d, n)
     return balance_in_row(d, pascal_row(n))[1]

@@ -21,7 +21,7 @@ from symbalance.census import (
 )
 from symbalance.errors import BudgetError, InternalCheckError, OrbitSplitError
 from symbalance.exactnum import binom, exact_div, multinomial
-from symbalance.symfun import enumerate_classes
+from symbalance.symfun import SymmetricFunction, enumerate_classes
 
 # balanced symmetric function counts, exhaustively verified
 BRUTE_COUNTS = {
@@ -288,6 +288,15 @@ def test_generate_balanced_full_run():
         for f in fns:
             assert f.p == p and f.n == n
             assert oracles.output_histogram(p, n, f.values) == (p ** (n - 1),) * p
+
+
+def test_generated_functions_pass_the_constructor_checks():
+    # generate_balanced makes its records without SymmetricFunction's
+    # checks; each must pass them.
+    for p, n in [(2, 3), (2, 7), (3, 4), (5, 3), (7, 2)]:
+        for f in generate_balanced(p, n, limit=40):
+            assert type(f) is SymmetricFunction
+            assert SymmetricFunction(p, n, f.values) == f
 
 
 def test_generate_balanced_limit_and_laziness():

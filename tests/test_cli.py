@@ -344,21 +344,26 @@ def csv_writer_output(result):
     """result's CSV as csv.writer writes it, booleans as true/false."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(result.columns)
-    for row in result.rows:
-        writer.writerow([("true" if row[c] else "false") if isinstance(row[c], bool)
-                         else row[c] for c in result.columns])
+    writer.writerow(result.table)
+    for row in zip(*result.table.values()):
+        writer.writerow([("true" if value else "false") if isinstance(value, bool) else value
+                         for value in row])
     return out.getvalue()
 
 
-@pytest.mark.parametrize("argv", [
+# One call of each command; tables of one row, of many rows and of none.
+ONE_CALL_EACH = [
     ["weight", "3", "6"], ["balanced", "2", "7"], ["sac", "3", "4"], ["walsh", "2", "8"],
     ["bisect", "8"], ["bisect", "10", "--enumerate"], ["count", "2", "3"],
     ["lower-bound", "3", "4"], ["generate", "3", "2"],
     # values of 10 and up are joined by commas, so the field is quoted
     ["generate", "13", "2", "--limit", "3"],
     ["scan-c1", "--n-max", "12"], ["scan-c2", "--n-max", "140"], ["lacunary", "10", "3"],
-])
+    ["lacunary", "10", "3", "5"], ["scan-c2", "--n-max", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_EACH)
 def test_csv_matches_csv_writer(capsys, argv):
     expected = csv_writer_output(cli._GRAMMAR[argv[0]][0](cli._parse(argv)))
     code, out, err = run(capsys, argv + ["--format", "csv"])
@@ -367,15 +372,85 @@ def test_csv_matches_csv_writer(capsys, argv):
         assert out.count('"') == 6
 
 
+# Tables of fewer than cli._COLUMNS_FROM rows are written row by row, and
+# longer ones column by column; both sides of that count are tried.
+ROW_COUNTS = [0, 1, 3, cli._COLUMNS_FROM - 1, cli._COLUMNS_FROM, 2 * cli._COLUMNS_FROM + 1]
+
+
 def test_csv_quotes_commas_and_quotes_as_csv_writer_does(capsys):
-    rows = [{"a": 'say "hi"', "b": "1,2", "c": True, "d": -5},
-            {"a": '"', "b": "", "c": False, "d": 0},
-            {"a": "x", "b": ",", "c": True, "d": 10 ** 30}]
-    result = cli.CommandResult("x", {}, ["a", "b", "c", "d"], rows, lambda: [])
-    cli._emit(result, "csv", 0)
-    out = capsys.readouterr().out
-    assert out == csv_writer_output(result)
-    assert out.splitlines()[1] == '"say ""hi""","1,2",true,-5'
+    first = {"a": 'say "hi"', "b": "1,2", "c": True, "d": -5, "e": 'x"y', "f": "plain"}
+    more = {"a": ['"', "x"], "b": ["", ","], "c": [False, True], "d": [0, 10 ** 30],
+            "e": ["z", 7], "f": ["a,b", "c"]}
+    for rows in ROW_COUNTS:
+        table = {name: [value, *more[name] * rows][:rows] for name, value in first.items()}
+        result = cli.CommandResult("x", {}, table, lambda: [])
+        cli._emit(result, "csv", 0)
+        out = capsys.readouterr().out
+        assert out == csv_writer_output(result)
+        if rows:
+            assert out.splitlines()[1] == '"say ""hi""","1,2",true,-5,"x""y",plain'
+
+
+def test_tables_of_many_rows_are_encoded_by_column(monkeypatch, capsys):
+    # Both ways write the same bytes; the row count alone picks the way.
+    sizes = []
+    original = cli._by_column
+    monkeypatch.setattr(cli, "_by_column",
+                        lambda rows, *rest: sizes.append(len(rows)) or original(rows, *rest))
+    for rows in ROW_COUNTS:
+        for fmt in ("json", "csv"):
+            # a lazy column, as a scan hands over
+            table = {"i": range(rows), "s": map(str, range(rows))}
+            cli._emit(cli.CommandResult("x", {}, table, lambda: []), fmt, 0)
+    capsys.readouterr()
+    assert sizes == [n for n in ROW_COUNTS if n >= cli._COLUMNS_FROM for _ in ("json", "csv")]
+
+
+# ---------------------------------------------------------------- json
+
+
+def json_dumps_output(result, elapsed_ms):
+    """result's JSON as json.dumps writes it, with one object per row."""
+    table = {name: list(values) for name, values in result.table.items()}
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    payload = {"command": result.command, "parameters": result.parameters,
+               "results": rows, "runtime_ms": elapsed_ms}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_EACH)
+def test_json_matches_json_dumps(capsys, argv):
+    handler, args = cli._GRAMMAR[argv[0]][0], cli._parse(argv)
+    expected = json_dumps_output(handler(args), 0)
+    cli._emit(handler(args), "json", 0)
+    assert capsys.readouterr().out == expected
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, strip_runtime(out), err) == (0, expected, "")
+
+
+# Every character json.dumps escapes, of each kind: the quote and the
+# backslash, the short escapes, other control characters, DEL, non-ASCII
+# text and characters on either side of U+FFFF; and % and NUL, which the
+# writer's row pattern must keep apart from its value slots.
+AWKWARD = ['say "hi"', "back\\slash", "\b\f\n\r\t", "\x00\x01\x1f", "\x7f", "caf\u00e9",
+           "\u2028", "\U0001f600", "\uffff\U00010000", "100%", "%s%%", "", "plain"]
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_json_escapes_strings_as_json_dumps_does(capsys, rows):
+    # Awkward strs as the command, as parameter names and values, and as
+    # column names and values, in tables written row by row and column by
+    # column, beside columns of ints, of bools, of None, of plain strs and
+    # of mixed types.
+    table = {"ok": [i % 2 == 0 for i in range(rows)], "none": [None] * rows,
+             "int": list(range(-2, rows - 2)), "digits": [str(7 ** i) for i in range(rows)],
+             "mixed": [["x", None, 7, False, "\u00e9"][i % 5] for i in range(rows)]}
+    for i, name in enumerate(AWKWARD):
+        table[name] = [AWKWARD[(i + j) % len(AWKWARD)] for j in range(rows)]
+    parameters = {**{text: text for text in AWKWARD}, "%": None, "limit": 3, "ok": True}
+    result = cli.CommandResult('cmd "\\\x00\u00e9', parameters, table, lambda: [])
+    cli._emit(result, "json", 7)
+    assert capsys.readouterr().out == json_dumps_output(result, 7)
 
 
 # ---------------------------------------------------------------- failures
@@ -773,7 +848,7 @@ def test_import_loads_no_submodule():
 # One well-formed call of each command, in each format, and the package
 # modules it runs besides cli and errors.
 COMMAND_MODULES = [
-    (["weight", "1", "1", "--format", "json"], ["exactnum", "symfun"]),
+    (["weight", "1", "1", "--format", "json"], ["symfun"]),
     (["balanced", "4", "100"], ["exactnum", "symfun"]),
     (["sac", "3", "10", "--format", "csv"], ["exactnum", "spectral", "symfun"]),
     (["walsh", "3", "10", "--format", "json"], ["exactnum", "spectral", "symfun"]),
@@ -791,10 +866,9 @@ COMMAND_MODULES = [
 
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[a[0] for a, _ in COMMAND_MODULES])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
-    # json loads only for JSON output, and csv never.
+    # JSON and CSV are written without the json and csv modules.
     expected = sorted(["symbalance", "symbalance.cli", "symbalance.errors",
-                       *(f"symbalance.{module}" for module in modules),
-                       *(["json"] if "json" in argv else [])])
+                       *(f"symbalance.{module}" for module in modules)])
     done = run_fresh_interpreter([
         "import contextlib, io, sys",
         "import symbalance.cli as cli",

@@ -95,7 +95,7 @@ def test_package_holds_no_cache():
 def _count_stepped_rows(monkeypatch):
     """Counts the rows the scans take from pascal_rows, and every
     pascal_row call made anywhere in the package."""
-    built = _count_rows(monkeypatch, exactnum, symfun)
+    built = _count_rows(monkeypatch, exactnum)
     yielded = Counter()
     original = exactnum.pascal_rows
 
@@ -130,7 +130,7 @@ def test_all_residue_lacunary_builds_its_row_once(monkeypatch, capsys):
 
 
 def test_balanced_command_builds_its_row_once(monkeypatch, capsys):
-    built = _count_rows(monkeypatch, exactnum, symfun)
+    built = _count_rows(monkeypatch, exactnum)
     assert main(["balanced", "4", "4095"]) == 0
     assert built == Counter([4095])
     assert capsys.readouterr().out.endswith("balanced: true\n")

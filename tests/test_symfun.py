@@ -12,6 +12,7 @@ from symbalance.symfun import (
     MultisetClass,
     SymmetricFunction,
     WeightFunction,
+    _class_sizes,
     elem_values,
     enumerate_classes,
     is_balanced_elem,
@@ -26,6 +27,12 @@ def test_class_count_and_total_size():
             classes = enumerate_classes(p, n)
             assert len(classes) == binom(p + n - 1, n)
             assert sum(c.size() for c in classes) == p ** n
+
+
+def test_class_sizes_follow_the_class_records():
+    # census counts from _class_sizes, which makes no class record
+    for p, n in [(2, 0), (2, 5), (3, 4), (5, 3), (7, 2), (13, 1)]:
+        assert list(_class_sizes(p, n)) == [c.size() for c in enumerate_classes(p, n)]
 
 
 def test_enumerate_classes_rejects_composite():
