@@ -32,49 +32,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCell",
-    "BudgetError",
-    "InternalCheckError",
-    "MultisetClass",
-    "OrbitSplitError",
-    "PRECISION_BITS",
-    "ScanCell",
-    "SignVector",
-    "SolutionReport",
-    "SymmetricFunction",
-    "WalshSpectrum",
-    "WeightFunction",
-    "all_orbits_divisible",
-    "binom",
-    "brute_count_balanced_symmetric",
-    "compensated_sum",
-    "conjecture1_mismatches",
-    "conjecture2_violations",
-    "count_balanced_all",
-    "count_symmetric",
-    "count_trivial",
-    "elem_values",
-    "enumerate_classes",
-    "exact_div",
-    "find_all_solutions",
-    "generate_balanced",
-    "is_balanced_elem",
-    "is_prime",
-    "is_sac_elem",
-    "lacunary_sums",
-    "lacunary_trig_sums",
-    "lower_bound_balanced",
-    "multinomial",
-    "predicted_balanced",
-    "round_real",
-    "scan_conjecture1",
-    "scan_conjecture2",
-    "walsh_spectrum",
-    "weight_elem",
-    "weight_trig_wt2",
-    "weight_trig_wt3",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -10,6 +10,7 @@ search reproduces exactly where those exist.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import islice
 from typing import Optional
@@ -76,7 +77,9 @@ def find_all_solutions(n: int, enumerate_witnesses: bool = False,
 
     witnesses = None
     if enumerate_witnesses:
-        witnesses = tuple(islice(_nontrivial_in_lex_order(n), witness_limit))
+        # A limit past sys.maxsize, which islice refuses, caps no listing.
+        cap = None if witness_limit is None else min(witness_limit, sys.maxsize)
+        witnesses = tuple(islice(_nontrivial_in_lex_order(n), cap))
 
     return SolutionReport(n=n, total=total, trivial=trivial,
                           nontrivial=total - trivial, witnesses=witnesses)

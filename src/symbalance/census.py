@@ -13,6 +13,7 @@ brute-force counting provides the oracle at desk scales.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, compress, groupby, islice
 from typing import Iterator, Optional
 
@@ -291,7 +292,8 @@ def generate_balanced(p: int, n: int, limit: Optional[int] = None) -> Iterator[S
             else:
                 return
 
-    yield from islice(walk(), limit)
+    # A limit past sys.maxsize, which islice refuses, caps no listing.
+    yield from islice(walk(), None if limit is None else min(limit, sys.maxsize))
 
 
 def brute_count_balanced_symmetric(p: int, n: int) -> int:

@@ -20,9 +20,9 @@ errors, this module and only the modules of its command: weight loads
 symfun alone, balanced symfun and exactnum, sac and walsh add spectral,
 count, lower-bound and generate load census (bisect adds bisection), the
 scans load conjectures, and lacunary only exactnum.  JSON and CSV are
-written here (see _json and _csv), not by the json and csv modules; json
-loads only to escape a str that needs it, which no command prints, so no
-call loads json or csv.
+written here a column at a time (see _json and _csv), not by the json
+and csv modules; json loads only to escape a str that needs it, which no
+command prints, so no call loads json or csv.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class CommandResult(namedtuple("CommandResult", "command parameters table lines 
     strs), so no row is a dict of its own.  Each big integer is turned into
     decimal once, and the lines reuse that string.  A lines function keeps
     only what it prints, so computed witnesses are freed before the output
-    is written.  A column is read at most once, so a scan passes lazy
-    columns over its cells that text output never reads."""
+    is written.  JSON and CSV read each column once, whole, and text reads
+    none, so a scan passes lazy columns over its cells."""
 
     __slots__ = ()
 
@@ -299,6 +299,9 @@ def _cmd_lacunary(args) -> CommandResult:
         raise BudgetError(f"n={args.n} exceeds the cap {LACUNARY_MAX_N}")
     if args.power > LACUNARY_MAX_POWER:
         raise BudgetError(f"power={args.power} exceeds the cap {LACUNARY_MAX_POWER}")
+    if args.power < 1:
+        # as lacunary_sums would, but before the shift fails on it
+        raise ValueError("power must be at least 1")
     modulus = 1 << args.power
     if args.i is None:
         work = modulus * modulus // 2 * (2 * args.n + 2 * args.power + 32)
@@ -455,15 +458,11 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
         sys.stdout.write(_csv(result.table))
 
 
-# JSON and CSV are written here, not by a stdlib encoder, row by row: each
-# value by _json_value or _csv_field, each row then one format, in a plain
-# loop (a comprehension is a call of its own in CPython 3.11, a cost the one
-# row of most answers would feel).  A table of _COLUMNS_FROM rows or more is
-# encoded a column at a time instead (see _by_column), which costs about a
-# microsecond a column and saves a few tenths of one a value; timed
-# in-process on walsh, lacunary and generate tables, the two ways cross
-# between 10 and 12 rows in both formats.
-_COLUMNS_FROM = 12
+# JSON and CSV are written here, not by a stdlib encoder, a column at a
+# time: _encode reads each column of the table once and writes it with one
+# map for its kind of value, and each row zipped from those columns is
+# then one format.  Parameters, keys and the values of a column of mixed
+# kinds or of None go through _json_value or _csv_field one by one.
 _BOOLS = {True: "true", False: "false"}
 # The bytes json.dumps writes unescaped inside a string: printable ASCII
 # but " and \.
@@ -481,8 +480,7 @@ def _json_value(value) -> str:
     if type(value) is int:
         return str(value)
     if type(value) is str:
-        # _json_plain, inline as it runs once a value
-        if value.isascii() and not value.encode().translate(None, _JSON_PLAIN):
+        if _json_plain(value):
             return '"' + value + '"'
         from json.encoder import encode_basestring_ascii
 
@@ -504,26 +502,24 @@ def _csv_field(value) -> str:
     if value is True or value is False:
         return _BOOLS[value]
     text = str(value)
-    # _csv_plain, inline as it runs once a value
-    return text if "," not in text and '"' not in text else '"' + text.replace('"', '""') + '"'
+    return text if _csv_plain(text) else '"' + text.replace('"', '""') + '"'
 
 
-def _by_column(rows: list, field, plain, quoted):
-    """The rows' texts as field writes them, found a column at a time: by
-    one map of str or of _BOOLS for a column of ints or of bools, and of
-    quoted for a column of strs that plain passes as one text."""
-    columns = []
-    for values in zip(*rows):
-        kinds = set(map(type, values))
-        if kinds == {int}:
-            columns.append(map(str, values))
-        elif kinds == {bool}:
-            columns.append(map(_BOOLS.__getitem__, values))
-        elif kinds == {str} and plain("".join(values)):
-            columns.append(map(quoted, values))
-        else:
-            columns.append(map(field, values))
-    return zip(*columns)
+def _encode(column, field, plain, quoted):
+    """The column's values as field writes each, read once and written by
+    one map: of str for a column of ints, of _BOOLS for a column of bools,
+    of quoted for a column of strs that plain passes as one text, and of
+    field for any other column."""
+    values = list(column)
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int:
+        return map(str, values)
+    if kind is bool:
+        return map(_BOOLS.__getitem__, values)
+    if kind is str and plain("".join(values)):
+        return map(quoted, values)
+    return map(field, values)
 
 
 def _json(result: CommandResult, elapsed_ms: int) -> str:
@@ -538,14 +534,9 @@ def _json(result: CommandResult, elapsed_ms: int) -> str:
     if not _json_plain("".join(texts)):
         texts = [_json_value(text)[1:-1] for text in texts]
     command, *keys = texts
-    row = _json_object(keys[:len(names)])
-    rows = list(zip(*map(table.__getitem__, names)))
-    if len(rows) < _COLUMNS_FROM:
-        results = []
-        for values in rows:
-            results.append(row % tuple(map(_json_value, values)))
-    else:
-        results = map(row.__mod__, _by_column(rows, _json_value, _json_plain, '"%s"'.__mod__))
+    rows = zip(*[_encode(table[name], _json_value, _json_plain, '"%s"'.__mod__)
+                 for name in names])
+    results = map(_json_object(keys[:len(names)]).__mod__, rows)
     values = tuple(map(_json_value, map(parameters.__getitem__, labels)))
     return '{"command":"%s","parameters":%s,"results":[%s],"runtime_ms":%d}\n' % (
         command, _json_object(keys[len(names):]) % values, ",".join(results), elapsed_ms)
@@ -561,14 +552,8 @@ def _json_object(keys: list) -> str:
 
 def _csv(table: dict) -> str:
     r"""The table as csv.writer writes it (QUOTE_MINIMAL, "\n" line ends)."""
-    text = ",".join(table) + "\n"
-    rows = list(zip(*table.values()))
-    if len(rows) >= _COLUMNS_FROM:
-        lines = map(",".join, _by_column(rows, _csv_field, _csv_plain, str))
-        return text + "".join(map("%s\n".__mod__, lines))
-    for values in rows:
-        text += ",".join(map(_csv_field, values)) + "\n"
-    return text
+    rows = zip(*[_encode(column, _csv_field, _csv_plain, str) for column in table.values()])
+    return ",".join(table) + "\n" + "".join(map("%s\n".__mod__, map(",".join, rows)))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

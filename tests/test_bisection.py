@@ -107,6 +107,12 @@ def test_witness_limit():
     assert find_all_solutions(13).witnesses is None
 
 
+def test_a_witness_limit_past_sys_maxsize_caps_nothing():
+    every = find_all_solutions(8, True).witnesses
+    assert len(every) == 4
+    assert find_all_solutions(8, True, 10 ** 20).witnesses == every
+
+
 @functools.cache
 def oracle_witnesses(n):
     return list(oracles.nontrivial_bisections_lex(n))

@@ -313,6 +313,12 @@ def test_generate_balanced_refuses_a_negative_limit():
     assert list(generate_balanced(3, 2, limit=0)) == []
 
 
+def test_generate_balanced_reads_a_limit_past_sys_maxsize_as_no_cap():
+    every = [f.values for f in generate_balanced(3, 2)]
+    assert len(every) == 36
+    assert [f.values for f in generate_balanced(3, 2, limit=10 ** 20)] == every
+
+
 def test_generate_balanced_rejects_split_failure():
     with pytest.raises(OrbitSplitError):
         next(generate_balanced(2, 4))

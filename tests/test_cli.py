@@ -337,6 +337,11 @@ def test_lacunary_residue_out_of_range(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("power", ["0", "-1"])
+def test_lacunary_refuses_a_power_below_one(capsys, power):
+    assert run(capsys, ["lacunary", "10", power]) == (64, "", "error: power must be at least 1\n")
+
+
 # ---------------------------------------------------------------- csv
 
 
@@ -372,9 +377,16 @@ def test_csv_matches_csv_writer(capsys, argv):
         assert out.count('"') == 6
 
 
-# Tables of fewer than cli._COLUMNS_FROM rows are written row by row, and
-# longer ones column by column; both sides of that count are tried.
-ROW_COUNTS = [0, 1, 3, cli._COLUMNS_FROM - 1, cli._COLUMNS_FROM, 2 * cli._COLUMNS_FROM + 1]
+# The sizes of table the writers are checked at: none, one, a few, many.
+ROW_COUNTS = [0, 1, 3, 11, 12, 25]
+
+
+def with_lazy_columns(table, rows):
+    """The table with a range column and a map column added, as a scan
+    hands over lazy columns that can be read once, and a copy of it with
+    those columns listed."""
+    listed = {**table, "range": list(range(rows)), "map": list(map(str, range(rows)))}
+    return {**table, "range": range(rows), "map": map(str, range(rows))}, listed
 
 
 def test_csv_quotes_commas_and_quotes_as_csv_writer_does(capsys):
@@ -382,28 +394,13 @@ def test_csv_quotes_commas_and_quotes_as_csv_writer_does(capsys):
     more = {"a": ['"', "x"], "b": ["", ","], "c": [False, True], "d": [0, 10 ** 30],
             "e": ["z", 7], "f": ["a,b", "c"]}
     for rows in ROW_COUNTS:
-        table = {name: [value, *more[name] * rows][:rows] for name, value in first.items()}
-        result = cli.CommandResult("x", {}, table, lambda: [])
-        cli._emit(result, "csv", 0)
+        table, listed = with_lazy_columns(
+            {name: [value, *more[name] * rows][:rows] for name, value in first.items()}, rows)
+        cli._emit(cli.CommandResult("x", {}, table, lambda: []), "csv", 0)
         out = capsys.readouterr().out
-        assert out == csv_writer_output(result)
+        assert out == csv_writer_output(cli.CommandResult("x", {}, listed, lambda: []))
         if rows:
-            assert out.splitlines()[1] == '"say ""hi""","1,2",true,-5,"x""y",plain'
-
-
-def test_tables_of_many_rows_are_encoded_by_column(monkeypatch, capsys):
-    # Both ways write the same bytes; the row count alone picks the way.
-    sizes = []
-    original = cli._by_column
-    monkeypatch.setattr(cli, "_by_column",
-                        lambda rows, *rest: sizes.append(len(rows)) or original(rows, *rest))
-    for rows in ROW_COUNTS:
-        for fmt in ("json", "csv"):
-            # a lazy column, as a scan hands over
-            table = {"i": range(rows), "s": map(str, range(rows))}
-            cli._emit(cli.CommandResult("x", {}, table, lambda: []), fmt, 0)
-    capsys.readouterr()
-    assert sizes == [n for n in ROW_COUNTS if n >= cli._COLUMNS_FROM for _ in ("json", "csv")]
+            assert out.splitlines()[1] == '"say ""hi""","1,2",true,-5,"x""y",plain,0,0'
 
 
 # ---------------------------------------------------------------- json
@@ -439,18 +436,19 @@ AWKWARD = ['say "hi"', "back\\slash", "\b\f\n\r\t", "\x00\x01\x1f", "\x7f", "caf
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_json_escapes_strings_as_json_dumps_does(capsys, rows):
     # Awkward strs as the command, as parameter names and values, and as
-    # column names and values, in tables written row by row and column by
-    # column, beside columns of ints, of bools, of None, of plain strs and
-    # of mixed types.
+    # column names and values, beside columns of ints, of bools, of None,
+    # of plain strs and of mixed types, and lazy columns.
     table = {"ok": [i % 2 == 0 for i in range(rows)], "none": [None] * rows,
              "int": list(range(-2, rows - 2)), "digits": [str(7 ** i) for i in range(rows)],
              "mixed": [["x", None, 7, False, "\u00e9"][i % 5] for i in range(rows)]}
     for i, name in enumerate(AWKWARD):
         table[name] = [AWKWARD[(i + j) % len(AWKWARD)] for j in range(rows)]
     parameters = {**{text: text for text in AWKWARD}, "%": None, "limit": 3, "ok": True}
-    result = cli.CommandResult('cmd "\\\x00\u00e9', parameters, table, lambda: [])
-    cli._emit(result, "json", 7)
-    assert capsys.readouterr().out == json_dumps_output(result, 7)
+    table, listed = with_lazy_columns(table, rows)
+    command = 'cmd "\\\x00\u00e9'
+    cli._emit(cli.CommandResult(command, parameters, table, lambda: []), "json", 7)
+    expected = json_dumps_output(cli.CommandResult(command, parameters, listed, lambda: []), 7)
+    assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------- failures
@@ -503,6 +501,16 @@ def test_negative_limit_is_refused_while_parsing(monkeypatch, capsys, fmt, argv)
     assert err.endswith(f"symbalance {argv[0]}: error: argument --limit: "
                         f"must be non-negative, not {argv[-1]}\n")
     assert err.startswith(f"usage: symbalance {argv[0]} ")
+
+
+@pytest.mark.parametrize("command, rows", [(["bisect", "8", "--enumerate"], 4),
+                                           (["generate", "3", "2"], 36)])
+def test_a_limit_past_sys_maxsize_lists_everything(capsys, command, rows):
+    # A limit only caps the listing: 2^63 - 1 and 10^20 both cap nothing.
+    listed = run(capsys, command + ["--limit", str(sys.maxsize), "--format", "csv"])
+    assert run(capsys, command + ["--limit", "9" * 20, "--format", "csv"]) == listed
+    code, out, err = listed
+    assert (code, len(out.splitlines()), err) == (0, 1 + rows, "")
 
 
 @pytest.mark.parametrize("command", [["bisect", "8", "--enumerate"], ["generate", "3", "2"]])
