@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain, compress, groupby, islice
+from itertools import chain, compress, islice
 from typing import Iterator, Optional
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
@@ -125,26 +125,18 @@ def _orbit_walk(n: int, p: int) -> Iterator[tuple[list[int], list[int]]]:
         multiplicities[0] += 1 - copies - (left > 0)
 
 
-def _multiplicities(parts: tuple[int, ...], p: int) -> list[int]:
-    """How many symbols share each count of a partition's orbit: the
-    p - len(parts) absent symbols, then one entry per distinct part."""
-    return [p - len(parts), *(len(list(run)) for _, run in groupby(parts))]
-
-
 def all_orbits_divisible(p: int, n: int) -> bool:
-    """Whether every orbit splits into p equal groups.  Decided two ways
-    that must agree: gcd(n, p) = 1, and no multiplicity reaching p.  When
-    p divides n the second way needs only the partition into p equal parts
-    (none at all for n = 0), whose one multiplicity is p; otherwise it
-    scans every partition."""
+    """Whether every orbit splits into p equal groups: exactly when
+    gcd(n, p) = 1.  Then every partition is scanned as well, and a
+    multiplicity reaching p raises InternalCheckError.  When p divides n
+    the partition into p equal parts has multiplicity p by construction,
+    so nothing is scanned."""
     _check_args(p, n)
-    if math.gcd(n, p) == 1:
-        for _ in _scanned_multiplicities(p, n):
-            pass
-        return True
-    if max(_multiplicities((n // p,) * p if n else (), p)) < p:
-        raise _disagreement(p, n)
-    return False
+    if math.gcd(n, p) != 1:
+        return False
+    for _ in _scanned_multiplicities(p, n):
+        pass
+    return True
 
 
 def _scanned_multiplicities(p: int, n: int) -> Iterator[list[int]]:
@@ -171,7 +163,7 @@ def _split_orbit_sizes(p: int, n: int, max_bits: float = math.inf) -> list[int]:
     least log2(p!) >= 1.  An orbit of 2^64 classes or more adds far more
     than any max_bits a caller can hold."""
     _check_args(p, n)
-    if math.gcd(n, p) != 1 and not all_orbits_divisible(p, n):
+    if math.gcd(n, p) != 1:
         raise OrbitSplitError(
             f"p={p} divides n={n}: some orbit cannot be split into p groups")
     sizes = []

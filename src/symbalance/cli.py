@@ -20,9 +20,9 @@ errors, this module and only the modules of its command: weight loads
 symfun alone, balanced symfun and exactnum, sac and walsh add spectral,
 count, lower-bound and generate load census (bisect adds bisection), the
 scans load conjectures, and lacunary only exactnum.  JSON and CSV are
-written here a column at a time (see _json and _csv), not by the json
-and csv modules; json loads only to escape a str that needs it, which no
-command prints, so no call loads json or csv.
+written here a column at a time (see _encode), not by the json and csv
+modules, for just the ints, bools and strs of digits, signs and commas
+that the commands print, so no call loads json or csv.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _cmd_balanced(args) -> CommandResult:
     check_degree(args.d, args.n)
     weight, balanced = balance_in_row(args.d, pascal_row(args.n))
     weight = str(weight)
-    verdict = "true" if balanced else "false"
+    verdict = _BOOLS[balanced]
     return CommandResult(
         "balanced", {"d": args.d, "n": args.n},
         {"d": [args.d], "n": [args.n], "weight": [weight], "balanced": [balanced]},
@@ -223,7 +223,8 @@ def _cmd_generate(args) -> CommandResult:
     from .census import generate_balanced
     from .exactnum import binom
 
-    if binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
+    # For p < 1, C(p + n - 1, n) can fail on a valid n; the census refuses p.
+    if args.p > 0 and binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
         raise BudgetError(
             f"p={args.p}, n={args.n} has more than {GENERATE_MAX_CLASSES} classes")
     # Values of 10 and up take two digits, so they need a separator.
@@ -459,67 +460,23 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
 
 
 # JSON and CSV are written here, not by a stdlib encoder, a column at a
-# time: _encode reads each column of the table once and writes it with one
-# map for its kind of value, and each row zipped from those columns is
-# then one format.  Parameters, keys and the values of a column of mixed
-# kinds or of None go through _json_value or _csv_field one by one.
+# time.  Each column of a table holds one kind of value: ints, bools, or
+# strs of digits, signs and commas; each parameter is an int or None; and
+# the command and the names are written as declared here.  So _encode
+# reads each column once and writes it with one map for its kind, JSON
+# puts each str between quotes as it is, and CSV quotes only a str holding
+# a comma, which generate prints for p >= 11.
 _BOOLS = {True: "true", False: "false"}
-# The bytes json.dumps writes unescaped inside a string: printable ASCII
-# but " and \.
-_JSON_PLAIN = bytes(c for c in range(0x20, 0x7f) if c not in b'"\\')
 
 
-def _json_plain(text: str) -> bool:
-    """Whether json.dumps writes text between its quotes unchanged."""
-    return text.isascii() and not text.encode().translate(None, _JSON_PLAIN)
-
-
-def _json_value(value) -> str:
-    """One int, bool, str or None as json.dumps writes it (ensure_ascii).
-    json loads only to escape a str, which no command prints."""
-    if type(value) is int:
-        return str(value)
-    if type(value) is str:
-        if _json_plain(value):
-            return '"' + value + '"'
-        from json.encoder import encode_basestring_ascii
-
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _BOOLS.get(value, "null")
-    raise TypeError(f"a value of type {type(value).__name__} has no JSON form here")
-
-
-def _csv_plain(text: str) -> bool:
-    return "," not in text and '"' not in text
-
-
-def _csv_field(value) -> str:
-    """A CSV field as csv.writer writes it (QUOTE_MINIMAL): booleans as
-    true/false, and quoted only when it holds a comma or a quote, which is
-    doubled.  No field of a command holds a line break, or is empty alone
-    on its row."""
-    if value is True or value is False:
-        return _BOOLS[value]
-    text = str(value)
-    return text if _csv_plain(text) else '"' + text.replace('"', '""') + '"'
-
-
-def _encode(column, field, plain, quoted):
-    """The column's values as field writes each, read once and written by
-    one map: of str for a column of ints, of _BOOLS for a column of bools,
-    of quoted for a column of strs that plain passes as one text, and of
-    field for any other column."""
+def _encode(column, strs):
+    """The column's values as text, read once and written by one map: of
+    str for ints, of _BOOLS for bools, and of strs for strs."""
     values = list(column)
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is int:
-        return map(str, values)
-    if kind is bool:
-        return map(_BOOLS.__getitem__, values)
-    if kind is str and plain("".join(values)):
-        return map(quoted, values)
-    return map(field, values)
+    kind = type(values[0]) if values else int
+    if kind is str:
+        return map(strs, values)
+    return map(_BOOLS.__getitem__ if kind is bool else str, values)
 
 
 def _json(result: CommandResult, elapsed_ms: int) -> str:
@@ -527,32 +484,25 @@ def _json(result: CommandResult, elapsed_ms: int) -> str:
     separators=(",", ":")) writes it, byte for byte, for the payload with
     keys command, parameters, results (one object per row of the table)
     and runtime_ms, and a line end."""
-    table, parameters = result.table, result.parameters
-    names, labels = sorted(table), sorted(parameters)
-    # The command and the keys are checked as one text.
-    texts = [result.command, *names, *labels]
-    if not _json_plain("".join(texts)):
-        texts = [_json_value(text)[1:-1] for text in texts]
-    command, *keys = texts
-    rows = zip(*[_encode(table[name], _json_value, _json_plain, '"%s"'.__mod__)
-                 for name in names])
-    results = map(_json_object(keys[:len(names)]).__mod__, rows)
-    values = tuple(map(_json_value, map(parameters.__getitem__, labels)))
-    return '{"command":"%s","parameters":%s,"results":[%s],"runtime_ms":%d}\n' % (
-        command, _json_object(keys[len(names):]) % values, ",".join(results), elapsed_ms)
+    table = result.table
+    names = sorted(table)
+    rows = zip(*[_encode(table[name], '"%s"'.__mod__) for name in names])
+    row = "{" + ",".join(f'"{name}":%s' for name in names) + "}"
+    parameters = ",".join(f'"{name}":{"null" if value is None else value}'
+                          for name, value in sorted(result.parameters.items()))
+    return '{"command":"%s","parameters":{%s},"results":[%s],"runtime_ms":%d}\n' % (
+        result.command, parameters, ",".join(map(row.__mod__, rows)), elapsed_ms)
 
 
-def _json_object(keys: list) -> str:
-    r"""The %-pattern of a JSON object with these escaped keys, a %s for
-    each value.  No escaped key holds a NUL (it is written \u0000), so NUL
-    marks the value slots while each % of a key is doubled."""
-    text = '{"' + '":\0,"'.join(keys) + '":\0}' if keys else "{}"
-    return text.replace("%", "%%").replace("\0", "%s")
+def _csv_field(text: str) -> str:
+    """A str as csv.writer writes it (QUOTE_MINIMAL): quoted when it holds
+    a comma."""
+    return '"' + text + '"' if "," in text else text
 
 
 def _csv(table: dict) -> str:
     r"""The table as csv.writer writes it (QUOTE_MINIMAL, "\n" line ends)."""
-    rows = zip(*[_encode(column, _csv_field, _csv_plain, str) for column in table.values()])
+    rows = zip(*[_encode(column, _csv_field) for column in table.values()])
     return ",".join(table) + "\n" + "".join(map("%s\n".__mod__, map(",".join, rows)))
 
 

@@ -8,7 +8,7 @@ outputs or compare them directly against the package at small sizes.
 
 import math
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, groupby, product
 
 import numpy as np
 
@@ -217,3 +217,9 @@ def multiplicity_vectors(p, n):
         counts = Counter(combo)
         found.add(tuple(sum(1 for s in range(p) if counts[s] == l) for l in range(n + 1)))
     return sorted(found)
+
+
+def multiplicities(parts, p):
+    """How many symbols share each count of a partition's orbit: the
+    p - len(parts) absent symbols, then one entry per distinct part."""
+    return [p - len(parts), *(len(list(run)) for _, run in groupby(parts))]

@@ -390,9 +390,11 @@ def with_lazy_columns(table, rows):
 
 
 def test_csv_quotes_commas_and_quotes_as_csv_writer_does(capsys):
-    first = {"a": 'say "hi"', "b": "1,2", "c": True, "d": -5, "e": 'x"y', "f": "plain"}
-    more = {"a": ['"', "x"], "b": ["", ","], "c": [False, True], "d": [0, 10 ** 30],
-            "e": ["z", 7], "f": ["a,b", "c"]}
+    # The kinds of column a command prints: strs of digits, signs and
+    # commas (quoted when they hold one), bools, and big and negative ints.
+    first = {"a": "1,2", "b": True, "c": -5, "d": "-3", "e": "+-+"}
+    more = {"a": ["0", "10,11,12"], "b": [False, True], "c": [0, 10 ** 30],
+            "d": ["12", "-4,5"], "e": ["", "-"]}
     for rows in ROW_COUNTS:
         table, listed = with_lazy_columns(
             {name: [value, *more[name] * rows][:rows] for name, value in first.items()}, rows)
@@ -400,7 +402,7 @@ def test_csv_quotes_commas_and_quotes_as_csv_writer_does(capsys):
         out = capsys.readouterr().out
         assert out == csv_writer_output(cli.CommandResult("x", {}, listed, lambda: []))
         if rows:
-            assert out.splitlines()[1] == '"say ""hi""","1,2",true,-5,"x""y",plain,0,0'
+            assert out.splitlines()[1] == '"1,2",true,-5,-3,+-+,0,0'
 
 
 # ---------------------------------------------------------------- json
@@ -425,30 +427,51 @@ def test_json_matches_json_dumps(capsys, argv):
     assert (code, strip_runtime(out), err) == (0, expected, "")
 
 
-# Every character json.dumps escapes, of each kind: the quote and the
-# backslash, the short escapes, other control characters, DEL, non-ASCII
-# text and characters on either side of U+FFFF; and % and NUL, which the
-# writer's row pattern must keep apart from its value slots.
-AWKWARD = ['say "hi"', "back\\slash", "\b\f\n\r\t", "\x00\x01\x1f", "\x7f", "caf\u00e9",
-           "\u2028", "\U0001f600", "\uffff\U00010000", "100%", "%s%%", "", "plain"]
-
-
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_json_escapes_strings_as_json_dumps_does(capsys, rows):
-    # Awkward strs as the command, as parameter names and values, and as
-    # column names and values, beside columns of ints, of bools, of None,
-    # of plain strs and of mixed types, and lazy columns.
-    table = {"ok": [i % 2 == 0 for i in range(rows)], "none": [None] * rows,
-             "int": list(range(-2, rows - 2)), "digits": [str(7 ** i) for i in range(rows)],
-             "mixed": [["x", None, 7, False, "\u00e9"][i % 5] for i in range(rows)]}
-    for i, name in enumerate(AWKWARD):
-        table[name] = [AWKWARD[(i + j) % len(AWKWARD)] for j in range(rows)]
-    parameters = {**{text: text for text in AWKWARD}, "%": None, "limit": 3, "ok": True}
+    # Columns of bools, of big and negative ints, and of strs of digits,
+    # signs and commas, beside lazy columns; parameters that are ints or None.
+    table = {"ok": [i % 2 == 0 for i in range(rows)],
+             "int": [(-7) ** (9 * i) for i in range(rows)],
+             "digits": [str(-7 ** i) for i in range(rows)],
+             "values": [",".join(map(str, range(i, i + 3))) for i in range(rows)],
+             "delta": ["+-"[i % 2] * (i + 1) for i in range(rows)]}
+    parameters = {"n": -3, "limit": None, "p": 10 ** 30}
     table, listed = with_lazy_columns(table, rows)
-    command = 'cmd "\\\x00\u00e9'
-    cli._emit(cli.CommandResult(command, parameters, table, lambda: []), "json", 7)
-    expected = json_dumps_output(cli.CommandResult(command, parameters, listed, lambda: []), 7)
+    cli._emit(cli.CommandResult("walsh", parameters, table, lambda: []), "json", 7)
+    expected = json_dumps_output(cli.CommandResult("walsh", parameters, listed, lambda: []), 7)
     assert capsys.readouterr().out == expected
+
+
+# The writers' premise is checked on one call of each command and on
+# tables of no row, of commas, of negative values and of scans at their
+# defaults, with a limit left unset.
+PREMISE_CALLS = ONE_CALL_EACH + [
+    ["generate", "13", "2"], ["bisect", "20", "--limit", "5"], ["scan-c1"], ["scan-c2"]]
+
+
+def test_tables_hold_only_what_the_writers_encode():
+    # The JSON and CSV writers quote no name and escape no str: each column
+    # holds one kind (int, bool or str), each str is of digits, signs and
+    # commas, and each parameter is an int or None.
+    seen = Counter()
+    for argv in PREMISE_CALLS:
+        result = cli._GRAMMAR[argv[0]][0](cli._parse(argv))
+        names = [result.command, *result.table, *result.parameters]
+        assert all(re.fullmatch(r"[a-z][a-z0-9_-]*", name) for name in names), argv
+        for value in result.parameters.values():
+            assert type(value) is int or value is None, argv
+            seen["null"] += value is None
+        for column in result.table.values():
+            values = list(column)
+            kinds = set(map(type, values))
+            assert kinds <= {int} or kinds == {bool} or kinds == {str}, argv
+            if kinds == {str}:
+                assert all(re.fullmatch(r"[0-9+,-]*", value) for value in values), argv
+                seen["comma"] += any("," in value for value in values)
+                seen["negative"] += any(value[:1] == "-" for value in values)
+            seen["empty"] += not values
+    assert min(seen[key] for key in ("null", "comma", "negative", "empty")) > 0, seen
 
 
 # ---------------------------------------------------------------- failures
@@ -599,6 +622,13 @@ def test_count_refuses_a_large_p_before_computing(monkeypatch, capsys, p):
 ])
 def test_count_domain_errors_keep_their_messages(capsys, argv, message):
     assert run(capsys, argv) == (64, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("p, n", [("-5", "2"), ("-2", "1"), ("0", "0"), ("-1", "0")])
+def test_generate_names_a_p_below_one_not_a_valid_n(capsys, p, n):
+    # The class cap C(p + n - 1, n) is not formed for p < 1, so the census
+    # refuses p, not n.
+    assert run(capsys, ["generate", p, n]) == (64, "", f"error: p={p} is not prime\n")
 
 
 @pytest.mark.parametrize("argv, message", [
