@@ -4,9 +4,10 @@ The package answers three families of questions without ever leaving
 integer arithmetic for a verdict: how often each output value of a
 symmetric function over GF(p) occurs, what the weights and Walsh spectra
 of elementary symmetric polynomials over GF(2) look like, and how the
-binomial row of order n can be split into two equal halves.  Floating
-point appears only inside closed-form cross-checks, always compared back
-to an integer computed independently.
+binomial row of order n can be split into two equal halves.  Closed
+trigonometric forms are evaluated in fixed point on integers, with a
+proven error bound, and rounded only where that bound certifies the
+integer.
 """
 
 from importlib import import_module
@@ -22,8 +23,8 @@ _EXPORTS = {
                     "conjecture2_violations", "predicted_balanced", "scan_conjecture1",
                     "scan_conjecture2", "weight_trig_wt2", "weight_trig_wt3"),
     "errors": ("BudgetError", "InternalCheckError", "OrbitSplitError"),
-    "exactnum": ("PRECISION_BITS", "binom", "compensated_sum", "exact_div", "is_prime",
-                 "lacunary_sums", "lacunary_trig_sums", "multinomial", "round_real"),
+    "exactnum": ("binom", "exact_div", "is_prime", "lacunary_sums", "lacunary_trig_sums",
+                 "multinomial"),
     "spectral": ("WalshSpectrum", "is_sac_elem", "walsh_spectrum"),
     "symfun": ("MultisetClass", "SymmetricFunction", "WeightFunction", "elem_values",
                "enumerate_classes", "is_balanced_elem", "weight_elem"),

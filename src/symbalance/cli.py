@@ -32,7 +32,7 @@ import time
 from collections import namedtuple
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
 
@@ -220,11 +220,13 @@ def _cmd_lower_bound(args) -> CommandResult:
 
 
 def _cmd_generate(args) -> CommandResult:
-    from .census import generate_balanced
+    from .census import _check_args, generate_balanced
     from .exactnum import binom
 
-    # For p < 1, C(p + n - 1, n) can fail on a valid n; the census refuses p.
-    if args.p > 0 and binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
+    # p and n are checked first, as the census checks them: the class cap
+    # C(p + n - 1, n) is formed only for a prime p and n >= 0.
+    _check_args(args.p, args.n)
+    if binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
         raise BudgetError(
             f"p={args.p}, n={args.n} has more than {GENERATE_MAX_CLASSES} classes")
     # Values of 10 and up take two digits, so they need a separator.
@@ -463,20 +465,25 @@ def _emit(result: CommandResult, fmt: str, elapsed_ms: int) -> None:
 # time.  Each column of a table holds one kind of value: ints, bools, or
 # strs of digits, signs and commas; each parameter is an int or None; and
 # the command and the names are written as declared here.  So _encode
-# reads each column once and writes it with one map for its kind, JSON
-# puts each str between quotes as it is, and CSV quotes only a str holding
-# a comma, which generate prints for p >= 11.
+# reads each column once and writes ints and bools with one map, JSON puts
+# each str between quotes as it is, and CSV quotes only a str holding a
+# comma, which generate prints for p >= 11.
 _BOOLS = {True: "true", False: "false"}
 
 
 def _encode(column, strs):
-    """The column's values as text, read once and written by one map: of
-    str for ints, of _BOOLS for bools, and of strs for strs."""
+    """The column's values as text, read once: ints by one map of str,
+    bools by one map of _BOOLS, and strs by strs, given the listed column."""
     values = list(column)
     kind = type(values[0]) if values else int
     if kind is str:
-        return map(strs, values)
+        return strs(values)
     return map(_BOOLS.__getitem__ if kind is bool else str, values)
+
+
+def _json_strs(texts: list) -> Iterator[str]:
+    """Strs as JSON writes them: between quotes, as they are."""
+    return map('"%s"'.__mod__, texts)
 
 
 def _json(result: CommandResult, elapsed_ms: int) -> str:
@@ -486,7 +493,7 @@ def _json(result: CommandResult, elapsed_ms: int) -> str:
     and runtime_ms, and a line end."""
     table = result.table
     names = sorted(table)
-    rows = zip(*[_encode(table[name], '"%s"'.__mod__) for name in names])
+    rows = zip(*[_encode(table[name], _json_strs) for name in names])
     row = "{" + ",".join(f'"{name}":%s' for name in names) + "}"
     parameters = ",".join(f'"{name}":{"null" if value is None else value}'
                           for name, value in sorted(result.parameters.items()))
@@ -494,15 +501,17 @@ def _json(result: CommandResult, elapsed_ms: int) -> str:
         result.command, parameters, ",".join(map(row.__mod__, rows)), elapsed_ms)
 
 
-def _csv_field(text: str) -> str:
-    """A str as csv.writer writes it (QUOTE_MINIMAL): quoted when it holds
-    a comma."""
-    return '"' + text + '"' if "," in text else text
+def _csv_fields(texts: list) -> Iterable[str]:
+    """Strs as csv.writer writes them (QUOTE_MINIMAL): quoted when they hold
+    a comma.  A column with none is checked at once and written as it is."""
+    if "," not in "".join(texts):
+        return texts
+    return ['"' + text + '"' if "," in text else text for text in texts]
 
 
 def _csv(table: dict) -> str:
     r"""The table as csv.writer writes it (QUOTE_MINIMAL, "\n" line ends)."""
-    rows = zip(*[_encode(column, _csv_field) for column in table.values()])
+    rows = zip(*[_encode(column, _csv_fields) for column in table.values()])
     return ",".join(table) + "\n" + "".join(map("%s\n".__mod__, map(",".join, rows)))
 
 

@@ -6,11 +6,12 @@ once d has at least six binary ones and n >= 2(d - 1), the weight of
 X(d, n) stays strictly below 2^(n-2).  Scans recompute every cell in a
 range exactly and report the cells so callers can look for mismatches.
 
-The closed-form weights for degrees 2^t + 1 and 1 + 2^s + 2^t evaluate
-short cosine sums instead of binomial rows; they are exact in exact
-arithmetic and are evaluated here in fixed precision, to be checked
-against the integer route.  They import mpmath and fractions on their
-first call; the scans never load either.
+The closed-form weights for degrees 2^t + 1 and 1 + 2^s + 2^t are short
+cosine sums instead of binomial rows.  Each is evaluated as a sum of the
+certified lacunary closed forms of `exactnum`, over the residues mod
+2^d.bit_length() that dominate d, so the value is exact at every size; it
+is returned as an mpmath mpf holding that integer, and mpmath loads on
+the first such call.  The scans never load it.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError
-from .exactnum import (
-    PRECISION_BITS,
-    compensated_sum,
-    cospi_frac,
-    pascal_rows,
-    sinpi_frac,
-)
+from .exactnum import lacunary_trig_sums, pascal_rows
 from .symfun import _balance, _parity_mask, weight_in_row
 
 if TYPE_CHECKING:
@@ -102,61 +97,48 @@ def conjecture2_violations(cells: list[BoundCell]) -> list[BoundCell]:
     return [cell for cell in cells if not cell.below]
 
 
+def _dominating_weight(d: int, n: int) -> int:
+    """wt(X(d, n)), the sum of C(n, i) over the i that dominate d
+    (i & d == d), as a sum of certified lacunary_trig_sums values over the
+    residues mod 2^r, r = d.bit_length().
+
+    i dominates d exactly when i mod 2^r does: d has no bit at or above r,
+    so i & d == (i mod 2^r) & d."""
+    r = d.bit_length()
+    return sum(lacunary_trig_sums(n, r, [rho for rho in range(1 << r) if rho & d == d]))
+
+
+def _exact_mpf(x: int) -> mpmath.mpf:
+    """The int x as an mpf, exactly: a bare mpmath.mpf(x) rounds to the
+    working precision, 53 bits by default."""
+    import mpmath
+    with mpmath.workprec(x.bit_length()):
+        return mpmath.mpf(x)
+
+
 def weight_trig_wt2(t: int, m: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Closed-form weight of X(2^t + 1, m) for m >= 2^(t+1), as the pair
-    (S, T) with S = 2^(m-2) + T / 2^t; the weight is S rounded.  T collects
-    (2 cos A)^(m-1) sin(rA)/sin(A) over odd a < 2^t with A = a pi / 2^(t+1)
-    and r = m - 2^(t+1)."""
-    from fractions import Fraction
-
-    import mpmath
+    (S, T) with S = 2^(m-2) + T / 2^t the weight and T the correction
+    2^t (S - 2^(m-2)), both exact integers.  T is the sum over odd a < 2^t
+    of (2 cos A)^(m-1) sin(rA)/sin(A) with A = a pi / 2^(t+1) and
+    r = m - 2^(t+1).  Both are computed from _dominating_weight(2^t + 1, m)."""
     if t < 1:
         raise ValueError("t must be at least 1")
     half = 1 << (t + 1)
-    r = m - half
-    if r < 0:
+    if m < half:
         raise ValueError(f"m={m} must be at least 2^(t+1)={half}")
-    with mpmath.workprec(PRECISION_BITS):
-        terms = []
-        for a in range(1, 1 << t, 2):
-            base = 2 * cospi_frac(Fraction(a, half))
-            ratio = sinpi_frac(Fraction(r * a, half)) / sinpi_frac(Fraction(a, half))
-            terms.append(base ** (m - 1) * ratio)
-        correction = compensated_sum(terms)
-        series = mpmath.mpf(2) ** (m - 2) + correction / (1 << t)
-    return series, correction
+    weight = _dominating_weight((1 << t) + 1, m)
+    return _exact_mpf(weight), _exact_mpf((weight - (1 << (m - 2))) << t)
 
 
 def weight_trig_wt3(s: int, t: int, n: int) -> mpmath.mpf:
     """Closed-form weight of X(1 + 2^s + 2^t, n) for 1 <= s < t and n at
-    least the degree, as one value to round.  Two cosine sums: odd j up to
-    2^t - 1 with A = j pi / 2^(t+1), and odd k up to 2^s - 1 with
-    B = k pi / 2^(s+1)."""
-    from fractions import Fraction
-
-    import mpmath
+    least the degree, as an exact integer: 2^(n-3) less two scaled cosine
+    sums (odd j up to 2^t - 1 with A = j pi / 2^(t+1), and odd k up to
+    2^s - 1 with B = k pi / 2^(s+1)), computed as _dominating_weight(d, n)."""
     if not 1 <= s < t:
         raise ValueError("need 1 <= s < t")
     d = 1 + (1 << s) + (1 << t)
     if n < d:
         raise ValueError(f"n={n} must be at least the degree {d}")
-    big = 1 << (t + 1)
-    small = 1 << (s + 1)
-    with mpmath.workprec(PRECISION_BITS):
-        first = []
-        for j in range(1, 1 << t, 2):
-            base = 2 * cospi_frac(Fraction(j, big))
-            num = (sinpi_frac(Fraction((n - (1 << s)) * j, big))
-                   * sinpi_frac(Fraction((1 << s) * j, big)))
-            den = (sinpi_frac(Fraction(j, big))
-                   * sinpi_frac(Fraction((1 << (s + 1)) * j, big)))
-            first.append(base ** (n - 1) * num / den)
-        second = []
-        for k in range(1, 1 << s, 2):
-            base = 2 * cospi_frac(Fraction(k, small))
-            ratio = sinpi_frac(Fraction(n * k, small)) / sinpi_frac(Fraction(k, small))
-            second.append(base ** (n - 1) * ratio)
-        total = (mpmath.mpf(2) ** (n - 3)
-                 - compensated_sum(first) / (1 << t)
-                 - compensated_sum(second) / (1 << (s + 1)))
-    return total
+    return _exact_mpf(_dominating_weight(d, n))

@@ -1,32 +1,22 @@
-"""Exact integer combinatorics and high-precision real evaluation.
+"""Exact integer combinatorics and certified closed forms.
 
 Arbitrary-precision naturals are plain Python ints.  The closed
 trigonometric form of a lacunary binomial sum is evaluated in fixed point
 on plain ints throughout, from its cosine/sine pair to its last sum, at a
 precision chosen from n and the modulus, with a proven error bound: each
 value is rounded only when the bound certifies the nearest integer.  The
-weight closed forms of `conjectures` use the mpmath helpers here at a
-fixed PRECISION_BITS of mantissa, with every cosine/sine argument kept as
-an exact rational multiple of pi and reduced mod 2 before the numeric
-call; mpmath and fractions are imported by those helpers on first use, so
-importing this module loads neither.  Floats never decide a verdict anywhere in this
-package; they only cross-check integers.
+weight closed forms of `conjectures` are sums of these certified values.
+No float or mpmath arithmetic is used here, and floats never decide a
+verdict anywhere in this package.
 """
 
 from __future__ import annotations
 
 import math
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, InternalCheckError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    import mpmath
-
-PRECISION_BITS = 96
 
 
 def pascal_row(n: int) -> tuple[int, ...]:
@@ -165,59 +155,6 @@ def lacunary_sums(n: int, power: int, residues: Iterable[int]) -> tuple[int, ...
     residues = _lacunary_residues(n, power, residues)
     row = pascal_row(n)
     return tuple(sum(row[i::1 << power]) for i in residues)
-
-
-def cospi_frac(q: Fraction) -> mpmath.mpf:
-    """cos(pi q) for rational q, reduced mod 2 before evaluation."""
-    import fractions  # `from fractions import Fraction` here: 1.6 us a call (CPython 3.11, Xeon)
-
-    import mpmath
-    q = fractions.Fraction(q) % 2
-    with mpmath.workprec(PRECISION_BITS):
-        return mpmath.cospi(mpmath.mpf(q.numerator) / q.denominator)
-
-
-def sinpi_frac(q: Fraction) -> mpmath.mpf:
-    """sin(pi q) for rational q, reduced mod 2 before evaluation."""
-    import fractions  # `from fractions import Fraction` here: 1.6 us a call (CPython 3.11, Xeon)
-
-    import mpmath
-    q = fractions.Fraction(q) % 2
-    with mpmath.workprec(PRECISION_BITS):
-        return mpmath.sinpi(mpmath.mpf(q.numerator) / q.denominator)
-
-
-def compensated_sum(terms: Iterable) -> mpmath.mpf:
-    """Neumaier-compensated summation; the running error term is folded in
-    at the end."""
-    import mpmath
-    with mpmath.workprec(PRECISION_BITS):
-        total = mpmath.mpf(0)
-        err = mpmath.mpf(0)
-        for t in terms:
-            t = mpmath.mpf(t)
-            new = total + t
-            if abs(total) >= abs(t):
-                err += (total - new) + t
-            else:
-                err += (t - new) + total
-            total = new
-        return total + err
-
-
-def round_real(x) -> int:
-    """Nearest integer to a high-precision real, ties to even, computed
-    exactly from the mantissa and exponent of an mpf at any magnitude."""
-    from fractions import Fraction
-
-    import mpmath
-    if not isinstance(x, mpmath.mpf):
-        with mpmath.workprec(PRECISION_BITS):
-            x = mpmath.mpf(x)
-    if not mpmath.isfinite(x):
-        raise ValueError(f"cannot round {x}")
-    man, exp = x.man_exp  # man is the magnitude
-    return round(Fraction(-int(man) if x < 0 else int(man)) * Fraction(2) ** int(exp))
 
 
 def _lacunary_precision(n: int, power: int) -> int:

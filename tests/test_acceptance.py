@@ -2,9 +2,7 @@
 
 Each test prints a single PASS or FAIL line (visible under `pytest -s`
 or `pytest -v` by test name) and asserts the guarantee exactly.  All
-checks are exact integer comparisons except the closed-form weight and
-lacunary criteria, whose stated tolerance is a pre-rounding absolute
-error below 0.25.
+checks are exact integer comparisons.
 """
 
 import math
@@ -14,7 +12,6 @@ import mpmath
 
 import oracles
 from symbalance import (
-    PRECISION_BITS,
     all_orbits_divisible,
     binom,
     brute_count_balanced_symmetric,
@@ -28,7 +25,6 @@ from symbalance import (
     lacunary_trig_sums,
     lower_bound_balanced,
     multinomial,
-    round_real,
     scan_conjecture1,
     scan_conjecture2,
     walsh_spectrum,
@@ -123,33 +119,32 @@ def test_criterion_5_sac_equivalence():
            "SAC for 2 <= d <= n <= 14", bool(ok))
 
 
+def exact_int(value):
+    """The integer an mpf holds, or None when it is not an integer mpf."""
+    if isinstance(value, mpmath.mpf) and mpmath.isint(value):
+        return int(value)
+    return None
+
+
 def test_criterion_6_closed_form_weights():
     ok = True
-    with mpmath.workprec(PRECISION_BITS):
-        quarter = mpmath.mpf("0.25")
-        for t in range(1, 5):
-            d = (1 << t) + 1
-            for m in range(1 << (t + 1), 41):
-                series, _ = weight_trig_wt2(t, m)
-                exact = weight_elem(d, m)
-                ok &= round_real(series) == exact
-                ok &= abs(series - exact) < quarter
-        for t in range(2, 5):
-            for s in range(1, t):
-                d = 1 + (1 << s) + (1 << t)
-                for n in range(d, 41):
-                    value = weight_trig_wt3(s, t, n)
-                    exact = weight_elem(d, n)
-                    ok &= round_real(value) == exact
-                    ok &= abs(value - exact) < quarter
-        series, corr = weight_trig_wt2(1, 6)
-        ok &= round_real(series) == 20 == weight_elem(3, 6)
-        ok &= round_real(corr) == 8
-        ok &= abs(corr - 8) < mpmath.mpf(2) ** -80
-        ok &= weight_elem(7, 12) == 792
-        ok &= round_real(weight_trig_wt3(1, 2, 12)) == 792
-    report("criterion 6: closed-form weights round to exact values for "
-           "t <= 4, lengths <= 40, error < 0.25 per cell; anchors "
+    for t in range(1, 5):
+        d = (1 << t) + 1
+        for m in range(1 << (t + 1), 41):
+            series, corr = map(exact_int, weight_trig_wt2(t, m))
+            exact = weight_elem(d, m)
+            ok &= series == exact
+            ok &= corr == (exact - (1 << (m - 2))) << t
+    for t in range(2, 5):
+        for s in range(1, t):
+            d = 1 + (1 << s) + (1 << t)
+            for n in range(d, 41):
+                ok &= exact_int(weight_trig_wt3(s, t, n)) == weight_elem(d, n)
+    ok &= tuple(map(exact_int, weight_trig_wt2(1, 6))) == (20, 8)
+    ok &= weight_elem(3, 6) == 20
+    ok &= weight_elem(7, 12) == 792 == exact_int(weight_trig_wt3(1, 2, 12))
+    report("criterion 6: closed-form weights are integer mpfs equal to the "
+           "exact weights for t <= 4, lengths <= 40; anchors "
            "wt(X(3,6)) = 20 with correction 8, wt(X(7,12)) = 792", bool(ok))
 
 

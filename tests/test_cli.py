@@ -631,6 +631,13 @@ def test_generate_names_a_p_below_one_not_a_valid_n(capsys, p, n):
     assert run(capsys, ["generate", p, n]) == (64, "", f"error: p={p} is not prime\n")
 
 
+@pytest.mark.parametrize("n", ["-5", "100"])
+def test_generate_checks_p_before_the_class_cap(capsys, n):
+    # p and n are checked as the census checks them before C(p + n - 1, n)
+    # is formed: a non-prime p is named whether n is negative or past the cap.
+    assert run(capsys, ["generate", "4", n]) == (64, "", "error: p=4 is not prime\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["count", "2305843009213693951", "0"], "balance needs n >= 1"),
     (["generate", "2305843009213693951", "0"],
@@ -800,8 +807,8 @@ def test_lacunary_answers_past_the_old_96_bit_route(capsys, argv):
 
 
 # Modules that neither importing the package nor running any well-formed
-# command loads: scans run serially, so no process machinery; mpmath and
-# fractions load only with the library's weight closed forms; records are
+# command loads: scans run serially, so no process machinery; mpmath loads
+# only with the library's weight closed forms, and fractions never; records are
 # named tuples, so dataclasses (and the inspect it pulls in) never load;
 # argparse (with gettext and locale) loads only for help and usage errors.
 HEAVY_MODULES = ("'mpmath', 'dataclasses', 'inspect', 'fractions', "
@@ -865,7 +872,7 @@ def test_import_loads_no_submodule():
         "import symbalance",
         "names = len(symbalance.__all__), symbalance.__version__",
         "loaded = sorted(m for m in sys.modules if m.startswith('symbalance'))",
-        "if loaded != ['symbalance'] or names != (41, '0.1.0'):",
+        "if loaded != ['symbalance'] or names != (38, '0.1.0'):",
         "    sys.exit(f'loaded {loaded}, names {names}')",
         "if symbalance.census.lower_bound_balanced(3, 4) != 19440:",
         "    sys.exit('symbalance.census after a bare import')",

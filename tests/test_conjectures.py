@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import mpmath
 import pytest
 
 import oracles
+import symbalance
 from symbalance.conjectures import (
     BoundCell,
     ScanCell,
@@ -14,7 +20,6 @@ from symbalance.conjectures import (
     weight_trig_wt3,
 )
 from symbalance.errors import BudgetError
-from symbalance.exactnum import round_real
 from symbalance.symfun import is_balanced_elem, weight_elem
 
 
@@ -99,41 +104,61 @@ def test_quarter_weight_family():
             assert weight_elem((1 << t) + 1, n) == 1 << (n - 2)
 
 
+def exact_int(value) -> int:
+    """The integer a closed form returned, which must be an integer mpf."""
+    assert isinstance(value, mpmath.mpf) and mpmath.isint(value), value
+    return int(value)
+
+
+def wt2_exact(t: int, m: int) -> tuple[int, int]:
+    return tuple(map(exact_int, weight_trig_wt2(t, m)))
+
+
+# Sizes at which a 96-bit floating evaluation of the same cosine sums first
+# rounds wrong, per t for wt2 and per (s, t) for wt3; the odd sizes 20 to 59
+# past them are checked exactly.
+WT2_FLOAT_FAIL_M = {2: 133, 4: 97}
+WT3_FLOAT_FAIL_N = {(1, 3): 115, (2, 4): 95}
+
+
 def test_weight_trig_wt2_anchors():
-    series, corr = weight_trig_wt2(1, 6)
-    assert round_real(series) == weight_elem(3, 6) == 20
-    assert round_real(corr) == 8
-    assert abs(corr - 8) < mpmath.mpf(2) ** -80
-
-    series, corr = weight_trig_wt2(1, 8)
-    assert corr == 0
-    assert round_real(series) == weight_elem(3, 8) == 64
-
-    series, _ = weight_trig_wt2(2, 10)
-    assert round_real(series) == weight_elem(5, 10)
+    assert wt2_exact(1, 6) == (weight_elem(3, 6), 8) == (20, 8)
+    assert wt2_exact(1, 8) == (weight_elem(3, 8), 0) == (64, 0)
+    assert wt2_exact(2, 10)[0] == weight_elem(5, 10)
 
 
 def test_weight_trig_wt2_round_trip():
-    for t in range(1, 5):
+    # Every t <= 6, from m = 2^(t+1) to at least 60.
+    for t in range(1, 7):
         d = (1 << t) + 1
-        for m in range(1 << (t + 1), 61):
-            series, _ = weight_trig_wt2(t, m)
+        for m in range(1 << (t + 1), max(61, (1 << (t + 1)) + 25)):
             exact = weight_elem(d, m)
-            assert round_real(series) == exact
-            assert abs(series - exact) < 0.25
+            assert wt2_exact(t, m) == (exact, (exact - (1 << (m - 2))) << t), (t, m)
+
+
+@pytest.mark.parametrize("t, first", WT2_FLOAT_FAIL_M.items())
+def test_weight_trig_wt2_is_exact_past_a_fixed_precision(t, first):
+    for m in range((first + 20) | 1, first + 60, 2):
+        exact = weight_elem((1 << t) + 1, m)
+        assert wt2_exact(t, m) == (exact, (exact - (1 << (m - 2))) << t), m
+
+
+def test_weight_trig_wt2_is_exact_at_t_8():
+    exact = weight_elem(257, 600)
+    assert wt2_exact(8, 600) == (exact, (exact - (1 << 598)) << 8)
 
 
 def test_weight_trig_wt2_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t must be at least 1"):
         weight_trig_wt2(0, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"m=7 must be at least 2\^\(t\+1\)=8"):
         weight_trig_wt2(2, 7)
 
 
 def test_weight_trig_wt3_anchors():
-    assert round_real(weight_trig_wt3(1, 2, 12)) == weight_elem(7, 12) == 792
-    assert round_real(weight_trig_wt3(1, 2, 14)) == weight_elem(7, 14) == 3432
-    assert round_real(weight_trig_wt3(2, 3, 16)) == weight_elem(13, 16) == 576
+    assert exact_int(weight_trig_wt3(1, 2, 12)) == weight_elem(7, 12) == 792
+    assert exact_int(weight_trig_wt3(1, 2, 14)) == weight_elem(7, 14) == 3432
+    assert exact_int(weight_trig_wt3(2, 3, 16)) == weight_elem(13, 16) == 576
 
 
 def test_weight_trig_wt3_round_trip():
@@ -141,18 +166,36 @@ def test_weight_trig_wt3_round_trip():
         for t in range(s + 1, 5):
             d = 1 + (1 << s) + (1 << t)
             for n in range(d, 41):
-                value = weight_trig_wt3(s, t, n)
-                exact = weight_elem(d, n)
-                assert round_real(value) == exact
-                assert abs(value - exact) < 0.25
+                assert exact_int(weight_trig_wt3(s, t, n)) == weight_elem(d, n), (s, t, n)
+
+
+@pytest.mark.parametrize("s, t, first", [(s, t, n) for (s, t), n in WT3_FLOAT_FAIL_N.items()])
+def test_weight_trig_wt3_is_exact_past_a_fixed_precision(s, t, first):
+    d = 1 + (1 << s) + (1 << t)
+    for n in range((first + 20) | 1, first + 60, 2):
+        assert exact_int(weight_trig_wt3(s, t, n)) == weight_elem(d, n), n
+
+
+def test_closed_forms_load_mpmath_but_not_fractions():
+    # The weights are sums of integers; mpmath only holds the result.
+    probe = "\n".join([
+        "import sys",
+        "from symbalance.conjectures import weight_trig_wt2, weight_trig_wt3",
+        "weight_trig_wt2(2, 200), weight_trig_wt3(1, 3, 150)",
+        "sys.exit(sorted({'mpmath', 'fractions'} & set(sys.modules)) != ['mpmath'])",
+    ])
+    src = os.path.dirname(os.path.dirname(symbalance.__file__))
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_weight_trig_wt3_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 1 <= s < t"):
         weight_trig_wt3(2, 2, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 1 <= s < t"):
         weight_trig_wt3(0, 2, 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=6 must be at least the degree 7"):
         weight_trig_wt3(1, 2, 6)
 
 
@@ -223,16 +266,15 @@ def test_quarter_weight_missed_by_inner_odd_degrees():
 
 
 def test_correction_shrinks_along_residue_classes():
-    # relative to 2^(m-2), |T| decays within each residue class of m; the
-    # zero test is exact because sin of an integer multiple of pi is an
-    # exact zero in the arithmetic used
+    # relative to 2^(m-2), |T| decays within each residue class of m, and T
+    # is zero exactly on the class of 0
     for t in range(1, 5):
         period = 1 << (t + 1)
         for r in range(period):
             ratios = []
             for m in range(period + r, 61, period):
-                _, corr = weight_trig_wt2(t, m)
-                ratios.append(None if corr == 0 else abs(corr) / mpmath.mpf(2) ** (m - 2))
+                _, corr = wt2_exact(t, m)
+                ratios.append(None if corr == 0 else Fraction(abs(corr), 1 << (m - 2)))
             if r == 0:
                 assert all(x is None for x in ratios)
             else:

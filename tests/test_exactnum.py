@@ -13,8 +13,6 @@ import symbalance.exactnum as exactnum
 from symbalance.errors import BudgetError, InternalCheckError
 from symbalance.exactnum import (
     binom,
-    compensated_sum,
-    cospi_frac,
     exact_div,
     is_prime,
     lacunary_sums,
@@ -22,8 +20,6 @@ from symbalance.exactnum import (
     multinomial,
     pascal_row,
     pascal_rows,
-    round_real,
-    sinpi_frac,
 )
 
 
@@ -170,37 +166,6 @@ def test_lacunary_validation():
             with pytest.raises(ValueError):
                 route(n, power, residues)
         assert route(10, 2, iter([3, 1])) == (240, 272)
-
-
-def test_trig_helpers_exact_points():
-    assert cospi_frac(Fraction(1, 2)) == 0
-    assert sinpi_frac(Fraction(1)) == 0
-    assert cospi_frac(Fraction(7, 2)) == 0
-    assert abs(sinpi_frac(Fraction(1, 2)) - 1) == 0
-    assert cospi_frac(Fraction(2)) == 1
-
-
-def test_compensated_sum_cancellation():
-    big = 10 ** 30
-    terms = [big, 1, -big]
-    assert compensated_sum(terms) == 1
-    assert compensated_sum([]) == 0
-
-
-def test_round_real():
-    assert round_real(compensated_sum([0.5, 0.25, 0.25])) == 1
-    assert round_real(cospi_frac(Fraction(1, 3)) * 544) == 272
-
-
-def test_round_real_is_exact_at_any_magnitude():
-    with mpmath.workprec(400):
-        big = mpmath.mpf(2 ** 200 + 1)
-        assert round_real(big) == 2 ** 200 + 1
-        assert round_real(big + mpmath.mpf(0.5)) == 2 ** 200 + 2
-        assert round_real(-big - mpmath.mpf(0.25)) == -(2 ** 200 + 1)
-    # Ties go to even, as mpmath.nint did.
-    assert [round_real(mpmath.mpf(x)) for x in (0.5, 1.5, 2.5, -0.5, -1.5)] == [0, 2, 2, 0, -2]
-    assert round_real(7) == 7
 
 
 LACUNARY_SWEEP_N = (1, 2, 3, 5, 7, 40, 100, 193, 1000)

@@ -1,8 +1,9 @@
 """The public surface: what symbalance exports, and what it no longer has.
 
-Names that only stated a proposition or an old orbit model, with no library
-path or command calling them, left the package; the propositions are
-asserted in the tests on the outputs of the functions that remain.
+Names that only stated a proposition or an old orbit model, or served the
+mpmath evaluation of the weight closed forms, with no library path or
+command calling them, left the package; the propositions are asserted in
+the tests on the outputs of the functions that remain.
 """
 
 import importlib
@@ -24,15 +25,15 @@ from symbalance import (
 
 EXPORTED = {
     "BoundCell", "BudgetError", "InternalCheckError", "MultisetClass",
-    "OrbitSplitError", "PRECISION_BITS", "ScanCell", "SignVector",
-    "SolutionReport", "SymmetricFunction", "WalshSpectrum", "WeightFunction",
+    "OrbitSplitError", "ScanCell", "SignVector", "SolutionReport",
+    "SymmetricFunction", "WalshSpectrum", "WeightFunction",
     "all_orbits_divisible", "binom", "brute_count_balanced_symmetric",
-    "compensated_sum", "conjecture1_mismatches", "conjecture2_violations",
+    "conjecture1_mismatches", "conjecture2_violations",
     "count_balanced_all", "count_symmetric", "count_trivial", "elem_values",
     "enumerate_classes", "exact_div", "find_all_solutions", "generate_balanced",
     "is_balanced_elem", "is_prime", "is_sac_elem", "lacunary_sums",
     "lacunary_trig_sums", "lower_bound_balanced", "multinomial",
-    "predicted_balanced", "round_real", "scan_conjecture1", "scan_conjecture2",
+    "predicted_balanced", "scan_conjecture1", "scan_conjecture2",
     "walsh_spectrum", "weight_elem", "weight_trig_wt2", "weight_trig_wt3",
 }
 
@@ -43,11 +44,12 @@ DELETED = (
     "quarter_weight_holds", "correction_sign_check", "sign_sinpi",
     "AnfVector", "values_from_anf", "anf_from_values", "_domination_transform",
     "is_balanced", "balance_histogram",
+    "cospi_frac", "sinpi_frac", "compensated_sum", "round_real", "PRECISION_BITS",
 )
 
 
 def test_exports_are_frozen():
-    assert len(symbalance.__all__) == len(EXPORTED) == 41
+    assert len(symbalance.__all__) == len(EXPORTED) == 38
     assert set(symbalance.__all__) == EXPORTED
     assert all(hasattr(symbalance, name) for name in EXPORTED)
 
