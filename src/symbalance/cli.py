@@ -50,12 +50,15 @@ COUNT_MAX_INPUTS = 1 << 20
 GENERATE_MAX_CLASSES = 4096
 LACUNARY_MAX_N = 4096
 LACUNARY_MAX_POWER = 12
-# Work of an all-residue lacunary call, M^2/2 * (2n + 2 power + 32) for
-# M = 2^power: M/2 + 1 angle sums of at most M/2 products each, on ints of
-# about 2n + 2 power + 32 bits.  At the cap (exactly lacunary 2358 10,
-# 569 11 or 121 12) a call took 1.59-1.78, 0.76-0.81 and 1.07-1.14 s in
-# turn (best and worst of 3 in one process, csv output) on a shared 2-core
-# Xeon with CPython 3.11.
+# Work of an all-residue lacunary call evaluated at the full modulus,
+# M^2/2 * (2n + 2 power + 32) for M = 2^power: M/2 + 1 angle sums of at
+# most M/2 products each, on ints of about 2n + 2 power + 32 bits.  The
+# closed form folds each residue to a modulus 2^r <= M, which costs no
+# more, so this bounds the folded work.  At the cap (exactly lacunary
+# 2358 10, 569 11 or 121 12) a call took 0.78-0.80, 0.26-0.27 and
+# 0.05-0.07 s in turn (best and worst of 3 in one process, csv output) on
+# a shared 2-core Xeon with CPython 3.11; 2358 10 does not fold, since
+# n > 2^power.
 LACUNARY_ALL_MAX_WORK = 149 << 24
 # The orbit-splitting bound is refused while its log2, estimated before
 # any factorial is formed, exceeds this.  The orbits are read once.  At
@@ -296,15 +299,15 @@ def _cmd_scan_c2(args) -> CommandResult:
 
 
 def _cmd_lacunary(args) -> CommandResult:
-    from .exactnum import lacunary_sums, lacunary_trig_sums
+    from .exactnum import _lacunary_residues, lacunary_sums, lacunary_trig_sums
 
+    # n, power and the residue are checked as the routes check them, before
+    # the caps, so a domain error exits 64 whatever the sizes.
+    _lacunary_residues(args.n, args.power, () if args.i is None else (args.i,))
     if args.n > LACUNARY_MAX_N:
         raise BudgetError(f"n={args.n} exceeds the cap {LACUNARY_MAX_N}")
     if args.power > LACUNARY_MAX_POWER:
         raise BudgetError(f"power={args.power} exceeds the cap {LACUNARY_MAX_POWER}")
-    if args.power < 1:
-        # as lacunary_sums would, but before the shift fails on it
-        raise ValueError("power must be at least 1")
     modulus = 1 << args.power
     if args.i is None:
         work = modulus * modulus // 2 * (2 * args.n + 2 * args.power + 32)

@@ -4,8 +4,10 @@ Arbitrary-precision naturals are plain Python ints.  The closed
 trigonometric form of a lacunary binomial sum is evaluated in fixed point
 on plain ints throughout, from its cosine/sine pair to its last sum, at a
 precision chosen from n and the modulus, with a proven error bound: each
-value is rounded only when the bound certifies the nearest integer.  The
-weight closed forms of `conjectures` are sums of these certified values.
+value is rounded only when the bound certifies the nearest integer.  Each
+residue is evaluated at the coarsest modulus 2^r <= 2^power that decides
+its class inside 0..n, which for n < 2^power is often far below 2^power.
+The weight closed forms of `conjectures` are sums of these certified values.
 No float or mpmath arithmetic is used here, and floats never decide a
 verdict anywhere in this package.
 """
@@ -144,7 +146,8 @@ def _lacunary_residues(n: int, power: int, residues: Iterable[int]) -> tuple[int
         raise ValueError("power must be at least 1")
     residues = tuple(residues)
     for i in residues:
-        if not 0 <= i < 1 << power:
+        # i < 2^power, checked without forming 2^power
+        if i < 0 or i >> power:
             raise ValueError(f"residue {i} out of range for modulus 2^{power}")
     return residues
 
@@ -314,12 +317,37 @@ def _lacunary_fixed(n: int, power: int, residues: Iterable[int]) -> tuple[int, l
 def lacunary_trig_sums(n: int, power: int, residues: Iterable[int]) -> tuple[int, ...]:
     """lacunary_sums by its closed trigonometric form (valid for n >= 1):
 
-        2^(n-p) + 2^(1-p) * sum_{j=1}^{2^(p-1)-1}
-                  (2 cos(j pi / 2^p))^n cos(j (n - 2i) pi / 2^p)
+        2^(n-r) + 2^(1-r) * sum_{j=1}^{2^(r-1)-1}
+                  (2 cos(j pi / 2^r))^n cos(j (n - 2i) pi / 2^r)
 
     evaluated by _lacunary_fixed from one cosine table and one set of n-th
-    powers, and rounded only where certified to lie within 2^(-p-29) of
-    an integer."""
+    powers per modulus 2^r, and rounded only where certified to lie within
+    2^(-r-29) of an integer.
+
+    Each residue i is evaluated, as i mod 2^r, at the smallest r with
+    min(n.bit_length(), power) <= r <= power such that i < 2^r or
+    i mod 2^r > n; r = power always qualifies, since i < 2^power.  The sums
+    agree.  At r = power there is nothing to show.  Below it
+    r >= n.bit_length(), so 2^r > n: inside 0..n the class of i mod 2^r
+    holds at most its least member, i mod 2^r, and the class of
+    i mod 2^power lies within it.  So both sums are C(n, i) when i < 2^r
+    and both are empty when i mod 2^r > n.  r depends on n and i alone,
+    and every residue, those above n included, is still a certified closed
+    form."""
     residues = _lacunary_residues(n, power, residues)
-    scale, values = _lacunary_fixed(n, power, residues)
-    return tuple((v + (1 << (scale - 1))) >> scale for v in values)
+    if n == 0:
+        raise ValueError("the closed form requires n >= 1")
+    low = min(n.bit_length(), power)
+    by_power: dict[int, list[int]] = {}
+    for i in residues:
+        r = low
+        while i >> r and i & ((1 << r) - 1) <= n:
+            r += 1
+        by_power.setdefault(r, []).append(i)
+    sums = {}
+    for r, group in by_power.items():
+        mask = (1 << r) - 1
+        scale, values = _lacunary_fixed(n, r, [i & mask for i in group])
+        for i, v in zip(group, values):
+            sums[i] = (v + (1 << (scale - 1))) >> scale
+    return tuple(sums[i] for i in residues)

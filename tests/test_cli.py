@@ -342,6 +342,21 @@ def test_lacunary_refuses_a_power_below_one(capsys, power):
     assert run(capsys, ["lacunary", "10", power]) == (64, "", "error: power must be at least 1\n")
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    # Domain errors come before the n and power caps, with the library's message.
+    (["5000", "0"], 64, "power must be at least 1"),
+    (["-1", "13"], 64, "n must be non-negative"),
+    (["5000", "2", "-3"], 64, "residue -3 out of range for modulus 2^2"),
+    (["10", "13", "99999"], 64, "residue 99999 out of range for modulus 2^13"),
+    (["10", "100000000000000000000", "5"], 65,
+     "power=100000000000000000000 exceeds the cap 12"),
+    (["5000", "2"], 65, "n=5000 exceeds the cap 4096"),
+    (["10", "13", "5"], 65, "power=13 exceeds the cap 12"),
+])
+def test_lacunary_checks_its_domain_before_its_caps(capsys, argv, code, err):
+    assert run(capsys, ["lacunary", *argv]) == (code, "", f"error: {err}\n")
+
+
 # ---------------------------------------------------------------- csv
 
 

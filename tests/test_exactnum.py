@@ -278,3 +278,74 @@ def test_lacunary_certificate_refuses_a_value_outside_its_bound(monkeypatch):
     monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: (1, 2))
     with pytest.raises(InternalCheckError):
         lacunary_trig_sums(10, 3, [0])
+
+
+def _fold_power(n, power, i):
+    """The modulus exponent r the closed form should evaluate residue i at:
+    the least r >= min(n.bit_length(), power) whose class of i holds at
+    most one member inside 0..n."""
+    return next(r for r in range(min(n.bit_length(), power), power + 1)
+                if i < 2 ** r or i % 2 ** r > n)
+
+
+def _fold_residues(n, power):
+    """Residues that sit on the edges of the fold: 0, n, n + 1, and around
+    2^r0 and 2^r0 + n for r0 = n.bit_length(), with the last residue."""
+    edge = 2 ** n.bit_length()
+    picks = {0, n, n + 1, edge - 1, edge, edge + n, edge + n + 1, 2 ** power - 1}
+    return sorted(i for i in picks if 0 <= i < 2 ** power)
+
+
+FOLD_N = sorted({n for k in range(13) for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)
+                 if 1 <= n <= 4096})
+
+
+@pytest.mark.parametrize("power", range(1, 13))
+def test_folded_lacunary_matches_oracle_at_the_fold_edges(power):
+    for n in FOLD_N:
+        residues = _fold_residues(n, power)
+        assert lacunary_trig_sums(n, power, residues) == tuple(
+            oracles.lacunary_sum_direct(n, power, i) for i in residues), n
+        if n < 2 ** power and power <= 8:
+            every = range(2 ** power)
+            assert lacunary_trig_sums(n, power, every) == tuple(
+                oracles.lacunary_sum_direct(n, power, i) for i in every), n
+
+
+@pytest.mark.parametrize("n, power, residues", [
+    (60, 12, range(4096)),
+    (60, 12, [1037, 61, 4095, 0, 60, 124, 1037]),
+    (121, 12, range(0, 4096, 7)),
+    (1, 5, range(32)),
+    (255, 9, _fold_residues(255, 9)),
+    (4096, 12, [0, 4095]),
+])
+def test_folded_lacunary_certifies_every_residue(monkeypatch, n, power, residues):
+    # Each requested residue, above n too, reaches the kernel reduced mod 2^r
+    # in exactly one call, one call per r, with r from n and i alone.
+    calls = []
+    kernel = exactnum._lacunary_fixed
+
+    def spy(n_, r, group):
+        calls.append((r, list(group)))
+        return kernel(n_, r, group)
+
+    monkeypatch.setattr(exactnum, "_lacunary_fixed", spy)
+    assert lacunary_trig_sums(n, power, residues) == lacunary_sums(n, power, residues)
+    assert len({r for r, _ in calls}) == len(calls)
+    assert all(min(n.bit_length(), power) <= r <= power for r, _ in calls)
+    expected = []
+    for i in residues:
+        r = _fold_power(n, power, i)
+        expected.append((r, i % 2 ** r))
+    assert sorted((r, j) for r, group in calls for j in group) == sorted(expected)
+
+
+def test_lacunary_cross_check_still_bites_above_n(monkeypatch, capsys):
+    # Residue 1037 lies above n = 60; its closed form is still computed and
+    # certified, so a bound no value can meet is refused with exit 70.
+    from symbalance.cli import main
+
+    monkeypatch.setattr(exactnum, "_lacunary_error_bound", lambda n, power: (0, 1))
+    assert main(["lacunary", "60", "12", "1037"]) == 70
+    assert "internal check failed" in capsys.readouterr().err
