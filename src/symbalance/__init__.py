@@ -23,11 +23,10 @@ _EXPORTS = {
                     "conjecture2_violations", "predicted_balanced", "scan_conjecture1",
                     "scan_conjecture2", "weight_trig_wt2", "weight_trig_wt3"),
     "errors": ("BudgetError", "InternalCheckError", "OrbitSplitError"),
-    "exactnum": ("binom", "exact_div", "is_prime", "lacunary_sums", "lacunary_trig_sums",
-                 "multinomial"),
+    "exactnum": ("binom", "exact_div", "is_prime", "lacunary_sums", "lacunary_trig_sums"),
     "spectral": ("WalshSpectrum", "is_sac_elem", "walsh_spectrum"),
-    "symfun": ("MultisetClass", "SymmetricFunction", "WeightFunction", "elem_values",
-               "enumerate_classes", "is_balanced_elem", "weight_elem"),
+    "symfun": ("SymmetricFunction", "WeightFunction", "elem_values", "is_balanced_elem",
+               "weight_elem"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

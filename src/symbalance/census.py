@@ -170,7 +170,7 @@ def _split_orbit_sizes(p: int, n: int, max_bits: float = math.inf) -> list[int]:
     bits = 0.0
     for multiplicities in _scanned_multiplicities(p, n):
         # The walk's multiplicities are non-negative and sum to p, so
-        # multinomial's checks of them are skipped.
+        # they need no check.
         size = _multinomial(multiplicities)
         if size >> 64:
             bits = math.inf

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetError, InternalCheckError
 
@@ -70,15 +70,6 @@ def exact_div(a: int, b: int) -> int:
     if r:
         raise ValueError(f"{a} is not divisible by {b}")
     return q
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """n! / (parts[0]! ... parts[-1]!) for non-negative parts summing to n."""
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be non-negative")
-    if sum(parts) != n:
-        raise ValueError(f"parts {tuple(parts)} do not sum to n={n}")
-    return _multinomial(parts)
 
 
 def _multinomial(parts: Iterable[int]) -> int:

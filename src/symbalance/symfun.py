@@ -9,8 +9,8 @@ monomials are all-ones there.
 
 Importing this module loads errors and nothing else of the package: the
 weight walk needs only math, and the functions that call exactnum
-(MultisetClass.size, SymmetricFunction, enumerate_classes,
-is_balanced_elem and _class_sizes) import it when they run.
+(SymmetricFunction, is_balanced_elem and _class_sizes) import it when
+they run.
 """
 
 from __future__ import annotations
@@ -24,27 +24,8 @@ from typing import Iterator
 from .errors import InternalCheckError
 
 
-class MultisetClass(namedtuple("MultisetClass", "p n counts")):
-    """One permutation orbit of inputs: counts[l] coordinates equal l."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, n: int, counts: tuple[int, ...]):
-        if len(counts) != p:
-            raise ValueError("counts must have one entry per symbol")
-        if any(c < 0 for c in counts) or sum(counts) != n:
-            raise ValueError("counts must be non-negative and sum to n")
-        return super().__new__(cls, p, n, counts)
-
-    def size(self) -> int:
-        """Number of input vectors in the class."""
-        from .exactnum import multinomial
-
-        return multinomial(self.n, self.counts)
-
-
 class SymmetricFunction(namedtuple("SymmetricFunction", "p n values")):
-    """Output value per multiset class, in enumerate_classes order."""
+    """Output value per multiset class, in _count_vectors order."""
 
     __slots__ = ()
 
@@ -81,7 +62,7 @@ def _count_vectors(p: int, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _class_sizes(p: int, n: int) -> Iterator[int]:
-    """The size of each multiset class, in enumerate_classes order, for
+    """The size of each multiset class, in _count_vectors order, for
     p >= 1 and n >= 0 (unchecked), without a class record each."""
     from .exactnum import _multinomial
 
@@ -92,17 +73,6 @@ def _valid_function(p: int, n: int, values: tuple[int, ...]) -> SymmetricFunctio
     """SymmetricFunction(p, n, values) for values that are valid by
     construction, one in [0, p) per class, made without the checks."""
     return SymmetricFunction._make((p, n, values))
-
-
-def enumerate_classes(p: int, n: int) -> list[MultisetClass]:
-    """All multiset classes, lexicographically ascending on count vectors."""
-    from .exactnum import is_prime
-
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return [MultisetClass(p, n, c) for c in _count_vectors(p, n)]
 
 
 def check_degree(d: int, n: int) -> None:

@@ -7,7 +7,7 @@ outputs or compare them directly against the package at small sizes.
 """
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import combinations, combinations_with_replacement, groupby, product
 
 import numpy as np
@@ -223,3 +223,45 @@ def multiplicities(parts, p):
     """How many symbols share each count of a partition's orbit: the
     p - len(parts) absent symbols, then one entry per distinct part."""
     return [p - len(parts), *(len(list(run)) for _, run in groupby(parts))]
+
+
+def multinomial(n, parts):
+    """n! / (parts[0]! ... parts[-1]!) for non-negative parts summing to n,
+    from factorials."""
+    if any(q < 0 for q in parts):
+        raise ValueError("parts must be non-negative")
+    if sum(parts) != n:
+        raise ValueError(f"parts {tuple(parts)} do not sum to n={n}")
+    out = math.factorial(n)
+    for q in parts:
+        out //= math.factorial(q)
+    return out
+
+
+class MultisetClass(namedtuple("MultisetClass", "p n counts")):
+    """One permutation orbit of inputs: counts[l] coordinates equal l."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, n, counts):
+        if len(counts) != p:
+            raise ValueError("counts must have one entry per symbol")
+        if any(c < 0 for c in counts) or sum(counts) != n:
+            raise ValueError("counts must be non-negative and sum to n")
+        return super().__new__(cls, p, n, counts)
+
+    def size(self):
+        """Number of input vectors in the class."""
+        return multinomial(self.n, self.counts)
+
+
+def enumerate_classes(p, n):
+    """All multiset classes of n inputs over a prime p, lexicographically
+    ascending on count vectors: one per sorted symbol tuple."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p={p} is not prime")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    vectors = sorted(tuple(combo.count(s) for s in range(p))
+                     for combo in combinations_with_replacement(range(p), n))
+    return [MultisetClass(p, n, c) for c in vectors]

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -144,6 +145,17 @@ def test_negative_witness_limit_is_refused_before_work(monkeypatch):
         find_all_solutions(8, enumerate_witnesses=True, witness_limit=-1)
     with pytest.raises(ValueError, match="witness_limit"):
         find_all_solutions(8, witness_limit=-1)
+
+
+def test_listing_at_the_cap_holds_little_memory():
+    # The folded halves hold 3^8 sums each, where the unfolded ones held 2^16.
+    tracemalloc.start()
+    try:
+        find_all_solutions(32, True, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_balanced_elementary_forms_give_solutions():

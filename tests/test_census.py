@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import symbalance.census as census
+from oracles import enumerate_classes, multinomial
 from symbalance.bisection import count_trivial
 from symbalance.census import (
     _equal_partitions,
@@ -19,8 +20,8 @@ from symbalance.census import (
     lower_bound_balanced,
 )
 from symbalance.errors import BudgetError, InternalCheckError, OrbitSplitError
-from symbalance.exactnum import binom, exact_div, multinomial
-from symbalance.symfun import SymmetricFunction, enumerate_classes
+from symbalance.exactnum import binom, exact_div
+from symbalance.symfun import SymmetricFunction
 
 # balanced symmetric function counts, exhaustively verified
 BRUTE_COUNTS = {

@@ -606,6 +606,18 @@ def test_route_disagreement_maps_to_internal(monkeypatch, capsys):
                        "at n=4, i=0: 8 vs -1\n")
 
 
+def test_bisection_count_disagreement_maps_to_internal(monkeypatch, capsys):
+    # The census DP, one off, against the count the fold lists.
+    count = bisection.brute_count_balanced_symmetric
+    monkeypatch.setattr(bisection, "brute_count_balanced_symmetric",
+                        lambda p, n: count(p, n) + 1)
+    code, out, err = run(capsys, ["bisect", "13", "--enumerate"])
+    assert (code, out) == (70, "")
+    assert err == ("internal check failed: bisection routes disagree at n=13: "
+                   "the census leaves 17 nontrivial solutions, the fold 16\n")
+    assert run(capsys, ["bisect", "13"])[0] == 0
+
+
 def test_count_refuses_before_the_product_of_binomials(monkeypatch, capsys):
     def forbidden(p, n):
         raise AssertionError("count_balanced_all ran before the budget check")
@@ -887,7 +899,7 @@ def test_import_loads_no_submodule():
         "import symbalance",
         "names = len(symbalance.__all__), symbalance.__version__",
         "loaded = sorted(m for m in sys.modules if m.startswith('symbalance'))",
-        "if loaded != ['symbalance'] or names != (38, '0.1.0'):",
+        "if loaded != ['symbalance'] or names != (35, '0.1.0'):",
         "    sys.exit(f'loaded {loaded}, names {names}')",
         "if symbalance.census.lower_bound_balanced(3, 4) != 19440:",
         "    sys.exit('symbalance.census after a bare import')",

@@ -17,7 +17,6 @@ from symbalance.exactnum import (
     is_prime,
     lacunary_sums,
     lacunary_trig_sums,
-    multinomial,
     pascal_row,
     pascal_rows,
 )
@@ -69,13 +68,17 @@ def test_exact_div():
 
 
 def test_multinomial():
-    assert multinomial(6, (2, 2, 2)) == 90
-    assert multinomial(4, (4,)) == 1
-    assert multinomial(7, (3, 2, 1, 1)) == 420
+    # The census's unchecked product of binomials, against factorials.
+    assert exactnum._multinomial((2, 2, 2)) == 90
+    assert exactnum._multinomial((4,)) == 1
+    assert exactnum._multinomial((3, 2, 1, 1)) == 420
+    assert exactnum._multinomial(()) == 1
+    for parts in [(0, 5, 0), (7, 3, 2), (1,) * 9, (12, 0, 1, 30)]:
+        assert exactnum._multinomial(parts) == oracles.multinomial(sum(parts), parts)
     with pytest.raises(ValueError):
-        multinomial(6, (2, 2, 1))
+        oracles.multinomial(6, (2, 2, 1))
     with pytest.raises(ValueError):
-        multinomial(4, (5, -1))
+        oracles.multinomial(4, (5, -1))
 
 
 def test_is_prime():

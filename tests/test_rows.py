@@ -16,7 +16,7 @@ import symbalance.symfun as symfun
 from symbalance.cli import main
 from symbalance.conjectures import scan_conjecture1, scan_conjecture2
 from symbalance.errors import InternalCheckError
-from symbalance.symfun import enumerate_classes, is_balanced_elem, weight_elem
+from symbalance.symfun import _count_vectors, is_balanced_elem, weight_elem
 
 
 def _count_rows(monkeypatch, *modules):
@@ -73,7 +73,7 @@ def test_class_enumeration_keeps_no_memory():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for n in range(280, 288):
-            enumerate_classes(3, n)
+            list(_count_vectors(3, n))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

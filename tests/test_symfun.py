@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import MultisetClass, enumerate_classes
 from symbalance.exactnum import binom
 from symbalance.symfun import (
-    MultisetClass,
     SymmetricFunction,
     WeightFunction,
     _class_sizes,
     elem_values,
-    enumerate_classes,
     is_balanced_elem,
     weight_elem,
     weight_in_row,
