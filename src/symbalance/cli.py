@@ -110,11 +110,10 @@ def _cmd_weight(args) -> CommandResult:
 
 
 def _cmd_balanced(args) -> CommandResult:
-    from .exactnum import pascal_row
-    from .symfun import balance_in_row, check_degree
+    from .symfun import _stepped_balance, check_degree
 
     check_degree(args.d, args.n)
-    weight, balanced = balance_in_row(args.d, pascal_row(args.n))
+    weight, balanced = _stepped_balance(args.d, args.n)
     weight = str(weight)
     verdict = _BOOLS[balanced]
     return CommandResult(

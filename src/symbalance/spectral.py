@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from .exactnum import pascal_row
 from .symfun import WeightFunction, is_balanced_elem
 
 
@@ -31,6 +30,8 @@ def walsh_spectrum(wf: WeightFunction) -> WalshSpectrum:
     """W(y) = sum_k (-1)^(v(k)) P_k(y, n) for every y.  With A_k = P_k(y, n)
     and B_k = P_k(y + 1, n), B(z)(1 + z) = A(z)(1 - z) gives
     B_k = A_k - A_(k-1) - B_(k-1), so the column is updated in place."""
+    from .exactnum import pascal_row
+
     signs = [1 - 2 * b for b in wf.v]
     column = list(pascal_row(wf.n))  # P_k(0, n) = C(n, k)
     by_weight = []

@@ -8,9 +8,8 @@ the value C(j, d) mod 2 on inputs of weight j, since exactly C(j, d) of its
 monomials are all-ones there.
 
 Importing this module loads errors and nothing else of the package: the
-weight walk needs only math, and the functions that call exactnum
-(SymmetricFunction, is_balanced_elem and _class_sizes) import it when
-they run.
+weight and balance walks need only math, and the functions that call
+exactnum (SymmetricFunction and _class_sizes) import it when they run.
 """
 
 from __future__ import annotations
@@ -143,20 +142,62 @@ def weight_elem(d: int, n: int) -> int:
     return total
 
 
-def balance_in_row(d: int, row: tuple[int, ...]) -> tuple[int, bool]:
-    """Weight and balance of X(d, n) for row = pascal_row(n), the balance
-    decided by two routes that must agree: weight = 2^(n-1), and the signed
-    sum over weights sum_j C(n, j) (-1)^(C(j, d)) = 0.  The signed route
-    reads every entry of the row: it checks that the row is its own mirror
-    image, then sums its lower half (see _balance)."""
-    n = len(row) - 1
-    check_degree(d, n)
-    return _balance(d, row, _parity_mask(d, n))
+def _stepped_balance(d: int, n: int) -> tuple[int, bool]:
+    """Weight and balance of X(d, n) for 1 <= d <= n (unchecked), decided
+    by the two routes of _balance without a row.
+
+    Each route folds its indices above n/2 onto n - i, as weight_elem does:
+    the weight route takes the i that dominate d from _dominating, the
+    signed route the j with C(j, d) odd from _parity_mask.  Both are tagged
+    (2j for the weight route, 2j + 1 for the signed one) and sorted
+    together, and C(n, j) is stepped once across them with weight_elem's
+    jumps; each route adds the stepped value once per index it holds.  So
+    the routes share the binomials and differ in their index sets, and
+    besides the indices the call holds a few big ints, O(n) bits.
+
+    The routes must agree: weight = 2^(n-1) exactly when the signed sum
+    2^n - 2 sum_(C(j, d) odd) C(n, j) is 0, and the signed sum is
+    2^n - 2 weight.  Since the binomials are shared, a slip in a jump
+    would reach both routes alike; the last stepped value C(n, k) is
+    guarded instead by its 2-adic valuation, which by Kummer's theorem is
+    s2(k) + s2(n - k) - s2(n) (s2 the binary digit sum).  A jump that
+    comes out 2^e times too large (e >= 1) leaves every later step exact,
+    so the last value carries the factor and fails the guard; any other
+    slip fails it unless the wrong value happens to keep the valuation.
+    Either failure raises InternalCheckError."""
+    half = n // 2
+    odd = _parity_mask(d, n)
+    keys = [2 * (n - i) if i > half else 2 * i for i in _dominating(d, n)]
+    keys += compress(range(1, 2 * half + 2, 2), odd)
+    keys += compress(range(1, 2 * (n - half), 2), odd[n:half:-1])
+    keys.sort()
+    sums = [0, 0]
+    c = 1
+    k = 0
+    for x in keys:
+        j = x >> 1
+        g = j - k
+        if g == 1:
+            c = c * (n - k) // j
+        elif g:
+            c = c * perm(n - k, g) // perm(j, g)
+        k = j
+        sums[x & 1] += c
+    if (c & -c).bit_length() - 1 != k.bit_count() + (n - k).bit_count() - n.bit_count():
+        raise InternalCheckError(f"stepped C({n}, {k}) fails its 2-adic check at d={d}, n={n}")
+    w, odd_sum = sums
+    signed = (1 << n) - 2 * odd_sum
+    by_weight = w == 1 << (n - 1)
+    if by_weight != (signed == 0) or signed != (1 << n) - 2 * w:
+        raise InternalCheckError(f"balance routes disagree at d={d}, n={n}")
+    return w, by_weight
 
 
 def _balance(d: int, row: tuple[int, ...], odd: bytes) -> tuple[int, bool]:
-    """balance_in_row for 1 <= d <= n, with odd[j] = C(j, d) mod 2 for
-    j <= n (odd may run past n; a scan passes one mask per degree).
+    """Weight and balance of X(d, n) for row = pascal_row(n) and
+    1 <= d <= n, with odd[j] = C(j, d) mod 2 for j <= n (odd may run past
+    n; a scan passes one mask per degree): _stepped_balance for a caller
+    that holds the row.  The signed route reads every entry of the row.
 
     The lower half row[:h + 1], h = n // 2, is compared with the mirrored
     upper half, which pascal_row and pascal_rows build from the same int
@@ -180,8 +221,6 @@ def _balance(d: int, row: tuple[int, ...], odd: bytes) -> tuple[int, bool]:
 
 
 def is_balanced_elem(d: int, n: int) -> bool:
-    """Balance of the elementary form (see balance_in_row)."""
-    from .exactnum import pascal_row
-
+    """Balance of the elementary form (see _stepped_balance)."""
     check_degree(d, n)
-    return balance_in_row(d, pascal_row(n))[1]
+    return _stepped_balance(d, n)[1]

@@ -56,16 +56,27 @@ def test_weight_elem_holds_no_row():
     assert peak < 8 << 20
 
 
+def test_balance_holds_no_row():
+    # row 20000 alone holds about 19 MB; the stepped routes hold a few big ints
+    tracemalloc.start()
+    try:
+        assert is_balanced_elem(4, 20000) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_signed_balance_route_reads_the_whole_row():
     # C(j, d) is even at j, so j does not dominate d and the weight route
     # never reads row[j]: only the signed sum can see the change.
     d, n, j = 4, 4095, 4091
     row = list(exactnum.pascal_row(n))
     assert math.comb(j, d) % 2 == 0
-    assert symfun.balance_in_row(d, tuple(row)) == (1 << (n - 1), True)
+    assert symfun._balance(d, tuple(row), symfun._parity_mask(d, n)) == (1 << (n - 1), True)
     row[j] += 2
     with pytest.raises(InternalCheckError, match="d=4, n=4095"):
-        symfun.balance_in_row(d, tuple(row))
+        symfun._balance(d, tuple(row), symfun._parity_mask(d, n))
 
 
 def test_class_enumeration_keeps_no_memory():
@@ -129,8 +140,10 @@ def test_all_residue_lacunary_builds_its_row_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_balanced_command_builds_its_row_once(monkeypatch, capsys):
+def test_balanced_and_sac_commands_build_no_row(monkeypatch, capsys):
     built = _count_rows(monkeypatch, exactnum)
     assert main(["balanced", "4", "4095"]) == 0
-    assert built == Counter([4095])
     assert capsys.readouterr().out.endswith("balanced: true\n")
+    assert main(["sac", "5", "4096"]) == 0
+    assert capsys.readouterr().out.endswith("satisfies the strict avalanche criterion\n")
+    assert built == Counter()

@@ -7,12 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import symbalance.symfun as symfun
 from oracles import MultisetClass, enumerate_classes
-from symbalance.exactnum import binom
+from symbalance.cli import main
+from symbalance.errors import InternalCheckError
+from symbalance.exactnum import binom, pascal_row
 from symbalance.symfun import (
     SymmetricFunction,
     WeightFunction,
+    _balance,
     _class_sizes,
+    _parity_mask,
+    _stepped_balance,
     elem_values,
     is_balanced_elem,
     weight_elem,
@@ -155,6 +161,58 @@ def test_odd_degree_above_one_never_balanced():
     for n in range(1, 26):
         for d in range(3, n + 1, 2):
             assert not is_balanced_elem(d, n)
+
+
+def test_stepped_balance_matches_the_row_route_up_to_160():
+    for n in range(1, 161):
+        row = pascal_row(n)
+        for d in range(1, n + 1):
+            assert _stepped_balance(d, n) == _balance(d, row, _parity_mask(d, n)), (d, n)
+
+
+def _assert_caught(capsys, d, n, check):
+    with pytest.raises(InternalCheckError, match=f"{check} at d={d}, n={n}$"):
+        _stepped_balance(d, n)
+    assert main(["balanced", str(d), str(n)]) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal check failed: ")
+
+
+def test_stepped_balance_catches_a_flipped_parity_byte(monkeypatch, capsys):
+    # C(4091, 4) is even; the flipped byte adds C(4095, 4) to the signed route
+    original = symfun._parity_mask
+
+    def flipped(d, n):
+        odd = bytearray(original(d, n))
+        odd[4091] ^= 1
+        return bytes(odd)
+
+    monkeypatch.setattr(symfun, "_parity_mask", flipped)
+    _assert_caught(capsys, 4, 4095, "balance routes disagree")
+
+
+def test_stepped_balance_catches_a_dropped_dominating_index(monkeypatch, capsys):
+    original = symfun._dominating
+    monkeypatch.setattr(symfun, "_dominating",
+                        lambda d, n: (i for i in original(d, n) if i != 2004))
+    _assert_caught(capsys, 4, 4095, "balance routes disagree")
+
+
+def test_stepped_balance_catches_a_jump_off_by_two(monkeypatch, capsys):
+    # The first jump, C(n, 0) to C(n, 2), comes out doubled.  Both routes
+    # read the same wrong binomials, so only the 2-adic guard sees it.
+    d, n = 5, 4095
+    slips = []
+
+    def slipping(a, g):
+        if a == n:
+            slips.append(g)
+            return 2 * math.perm(a, g)
+        return math.perm(a, g)
+
+    monkeypatch.setattr(symfun, "perm", slipping)
+    _assert_caught(capsys, d, n, "fails its 2-adic check")
+    assert slips == [2, 2]
 
 
 def test_balance_of_general_symmetric_function():
