@@ -136,8 +136,9 @@ def _cmd_sac(args) -> CommandResult:
 
 def _cmd_walsh(args) -> CommandResult:
     from .spectral import walsh_spectrum
-    from .symfun import elem_values
+    from .symfun import check_degree, elem_values
 
+    check_degree(args.d, args.n)
     if args.n > WALSH_MAX_N:
         raise BudgetError(f"n={args.n} exceeds the spectrum cap {WALSH_MAX_N}")
     values = list(map(str, walsh_spectrum(elem_values(args.d, args.n)).by_weight))
@@ -173,20 +174,19 @@ def _bisect_summary(n: int, total, trivial, nontrivial) -> str:
 
 
 def _over_count_cap(p: int, n: int) -> bool:
-    """p^n > COUNT_MAX_INPUTS, decided without forming a large power:
-    for |p| >= 2, |p|^n >= 2^(n (bits - 1)), past the cap 2^20 once
-    n (bits - 1) >= 21, and p^n is then over it when it is positive.
-    For n < 1 it is never over (nor 0^n formed, which fails for n < 0)."""
-    if n < 1:
-        return False
-    if abs(p) < 2 or n * (abs(p).bit_length() - 1) < 21:
-        return p ** n > COUNT_MAX_INPUTS
-    return p > 0 or n % 2 == 0
+    """p^n > COUNT_MAX_INPUTS for p >= 2 and n >= 0, decided without
+    forming a large power: p^n >= 2^(n (bits - 1)), past the cap 2^20
+    once n (bits - 1) >= 21."""
+    return n * (p.bit_length() - 1) >= 21 or p ** n > COUNT_MAX_INPUTS
 
 
 def _cmd_count(args) -> CommandResult:
-    from .census import brute_count_balanced_symmetric, count_balanced_all, count_symmetric
+    from .census import (_check_args, brute_count_balanced_symmetric, count_balanced_all,
+                         count_symmetric)
 
+    # p and n are checked first, as generate checks them: the cap reads
+    # p^n only for a prime p and n >= 0.
+    _check_args(args.p, args.n)
     if _over_count_cap(args.p, args.n):
         # The decimal of p^n alone takes seconds at n = 10^6.
         inputs = (args.p ** args.n if args.n * args.p.bit_length() <= 14000

@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import combinations_with_replacement, compress
 from math import perm
 from operator import sub
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InternalCheckError
 
@@ -116,22 +116,27 @@ def weight_in_row(d: int, row: tuple[int, ...]) -> int:
     return sum(map(row.__getitem__, _dominating(d, len(row) - 1)))
 
 
-def weight_elem(d: int, n: int) -> int:
-    """Hamming weight of the degree-d elementary symmetric form on n bits:
-    the sum of C(n, i) over i whose binary digits dominate those of d.
+def _stepped_sum(d: int, n: int, indices: Iterable[int]) -> int:
+    """Sum of C(n, i) over the ascending indices 0 <= i <= n, for
+    X(d, n) (d names the form in an error only), without a row.
 
-    No row is built.  Each index above n/2 folds onto n - i (C(n, i) =
-    C(n, n - i)), the ascending run below the middle and the mirrored run
-    are merged by one sort (duplicates kept), and C(n, k) is stepped from
-    one index k to the next j: c (n - k) / j for a gap of 1,
-    c perm(n - k, g) / perm(j, g) for a gap of g.  Besides the indices
-    only two big ints are held, O(n) bits."""
-    check_degree(d, n)
+    Each index above n/2 folds onto n - i (C(n, i) = C(n, n - i)), the
+    ascending run below the middle and the mirrored run are merged by one
+    sort (duplicates kept), and C(n, k) is stepped from one index k to the
+    next j: c (n - k) / j for a gap of 1, c perm(n - k, g) / perm(j, g) for
+    a gap of g.  Besides the indices only two big ints are held, O(n) bits.
+
+    The last stepped value C(n, k) is guarded by its 2-adic valuation,
+    which by Kummer's theorem is s2(k) + s2(n - k) - s2(n) (s2 the binary
+    digit sum).  A jump that comes out 2^e times too large (e >= 1) leaves
+    every later step exact, so the last value carries the factor and fails
+    the guard; any other slip fails it unless the wrong value happens to
+    keep the valuation.  A failure raises InternalCheckError."""
     half = n // 2
     total = 0
     c = 1
     k = 0
-    for j in sorted([n - i if i > half else i for i in _dominating(d, n)]):
+    for j in sorted([n - i if i > half else i for i in indices]):
         g = j - k
         if g == 1:
             c = c * (n - k) // j
@@ -139,85 +144,63 @@ def weight_elem(d: int, n: int) -> int:
             c = c * perm(n - k, g) // perm(j, g)
         k = j
         total += c
+    if (c & -c).bit_length() - 1 != k.bit_count() + (n - k).bit_count() - n.bit_count():
+        raise InternalCheckError(f"stepped C({n}, {k}) fails its 2-adic check at d={d}, n={n}")
     return total
 
 
-def _stepped_balance(d: int, n: int) -> tuple[int, bool]:
-    """Weight and balance of X(d, n) for 1 <= d <= n (unchecked), decided
-    by the two routes of _balance without a row.
+def weight_elem(d: int, n: int) -> int:
+    """Hamming weight of the degree-d elementary symmetric form on n bits:
+    the sum of C(n, i) over i whose binary digits dominate those of d,
+    stepped by _stepped_sum over the Lucas walk (_dominating), so no row
+    is built and a failed 2-adic guard raises InternalCheckError."""
+    check_degree(d, n)
+    return _stepped_sum(d, n, _dominating(d, n))
 
-    Each route folds its indices above n/2 onto n - i, as weight_elem does:
-    the weight route takes the i that dominate d from _dominating, the
-    signed route the j with C(j, d) odd from _parity_mask.  Both are tagged
-    (2j for the weight route, 2j + 1 for the signed one) and sorted
-    together, and C(n, j) is stepped once across them with weight_elem's
-    jumps; each route adds the stepped value once per index it holds.  So
-    the routes share the binomials and differ in their index sets, and
-    besides the indices the call holds a few big ints, O(n) bits.
 
-    The routes must agree: weight = 2^(n-1) exactly when the signed sum
-    2^n - 2 sum_(C(j, d) odd) C(n, j) is 0, and the signed sum is
-    2^n - 2 weight.  Since the binomials are shared, a slip in a jump
-    would reach both routes alike; the last stepped value C(n, k) is
-    guarded instead by its 2-adic valuation, which by Kummer's theorem is
-    s2(k) + s2(n - k) - s2(n) (s2 the binary digit sum).  A jump that
-    comes out 2^e times too large (e >= 1) leaves every later step exact,
-    so the last value carries the factor and fails the guard; any other
-    slip fails it unless the wrong value happens to keep the valuation.
-    Either failure raises InternalCheckError."""
-    half = n // 2
-    odd = _parity_mask(d, n)
-    keys = [2 * (n - i) if i > half else 2 * i for i in _dominating(d, n)]
-    keys += compress(range(1, 2 * half + 2, 2), odd)
-    keys += compress(range(1, 2 * (n - half), 2), odd[n:half:-1])
-    keys.sort()
-    sums = [0, 0]
-    c = 1
-    k = 0
-    for x in keys:
-        j = x >> 1
-        g = j - k
-        if g == 1:
-            c = c * (n - k) // j
-        elif g:
-            c = c * perm(n - k, g) // perm(j, g)
-        k = j
-        sums[x & 1] += c
-    if (c & -c).bit_length() - 1 != k.bit_count() + (n - k).bit_count() - n.bit_count():
-        raise InternalCheckError(f"stepped C({n}, {k}) fails its 2-adic check at d={d}, n={n}")
-    w, odd_sum = sums
-    signed = (1 << n) - 2 * odd_sum
-    by_weight = w == 1 << (n - 1)
-    if by_weight != (signed == 0) or signed != (1 << n) - 2 * w:
+def _checked_walk(d: int, n: int, odd: bytes) -> list[int]:
+    """The i <= n that dominate d, from the Lucas walk (_dominating),
+    checked against the j <= n with odd[j] = 1, C(j, d) odd by Kummer's
+    theorem (_parity_mask; odd may run past n).  By Lucas's theorem
+    C(j, d) is odd exactly when j dominates d, so the two lists are equal;
+    if they differ, raises InternalCheckError.  Equal sets give equal
+    sums, and the set check also sees faults that keep a sum, such as
+    flipped bytes at j and n - j."""
+    walk = list(_dominating(d, n))
+    if walk != list(compress(range(n + 1), odd)):
         raise InternalCheckError(f"balance routes disagree at d={d}, n={n}")
-    return w, by_weight
+    return walk
+
+
+def _stepped_balance(d: int, n: int) -> tuple[int, bool]:
+    """Weight and balance of X(d, n) for 1 <= d <= n (unchecked), without
+    a row: the weight is _stepped_sum over _checked_walk, so the Lucas
+    walk must match the Kummer mask and the last stepped binomial must
+    pass its 2-adic guard, or InternalCheckError is raised."""
+    w = _stepped_sum(d, n, _checked_walk(d, n, _parity_mask(d, n)))
+    return w, w == 1 << (n - 1)
 
 
 def _balance(d: int, row: tuple[int, ...], odd: bytes) -> tuple[int, bool]:
     """Weight and balance of X(d, n) for row = pascal_row(n) and
     1 <= d <= n, with odd[j] = C(j, d) mod 2 for j <= n (odd may run past
     n; a scan passes one mask per degree): _stepped_balance for a caller
-    that holds the row.  The signed route reads every entry of the row.
+    that holds the row.
 
-    The lower half row[:h + 1], h = n // 2, is compared with the mirrored
-    upper half, which pascal_row and pascal_rows build from the same int
-    objects, so the comparison costs almost nothing there.  With that
-    symmetry the signed sum is 2 sum(half) (the middle entry once for even
-    n) minus twice the entries at j with odd[j] = 1, summed from the half
-    row once as j = k and once as j = n - k > h."""
+    The lower half row[:h + 1], h = n // 2, must equal the mirrored upper
+    half (pascal_row and pascal_rows build both from the same int objects,
+    so this costs almost nothing there), and 2 sum(half), less the middle
+    entry for even n, must be 2^n; the weight sums row over _checked_walk.
+    A failed check raises InternalCheckError."""
     n = len(row) - 1
     h = n // 2
     half = row[:h + 1]
     if half != row[:n - h - 1:-1]:
         raise InternalCheckError(f"row is not symmetric at d={d}, n={n}")
-    w = weight_in_row(d, row)
-    total = 2 * sum(half) - (half[h] if n % 2 == 0 else 0)
-    signed = total - 2 * (sum(compress(half, odd)) + sum(compress(half, odd[n:h:-1])))
-    by_weight = w == 1 << (n - 1)
-    by_sign = signed == 0
-    if by_weight != by_sign or signed != (1 << n) - 2 * w:
-        raise InternalCheckError(f"balance routes disagree at d={d}, n={n}")
-    return w, by_weight
+    if 2 * sum(half) - (half[h] if n % 2 == 0 else 0) != 1 << n:
+        raise InternalCheckError(f"row does not sum to 2^n at d={d}, n={n}")
+    w = sum(map(row.__getitem__, _checked_walk(d, n, odd)))
+    return w, w == 1 << (n - 1)
 
 
 def is_balanced_elem(d: int, n: int) -> bool:

@@ -651,6 +651,17 @@ def test_count_domain_errors_keep_their_messages(capsys, argv, message):
     assert run(capsys, argv) == (64, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "4", "100"], "p=4 is not prime"),
+    (["count", "-3", "22"], "p=-3 is not prime"),
+    (["walsh", "3000", "2000"], "need 1 <= d <= n, got d=3000, n=2000"),
+    (["walsh", "0", "5000"], "need 1 <= d <= n, got d=0, n=5000"),
+])
+def test_count_and_walsh_check_their_domain_before_their_caps(capsys, argv, message):
+    # Each argv is past its command's cap as well.
+    assert run(capsys, argv) == (64, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("p, n", [("-5", "2"), ("-2", "1"), ("0", "0"), ("-1", "0")])
 def test_generate_names_a_p_below_one_not_a_valid_n(capsys, p, n):
     # The class cap C(p + n - 1, n) is not formed for p < 1, so the census

@@ -2,7 +2,6 @@
 reads once, and no call keeps rows or class lists after it returns."""
 
 import importlib
-import math
 import pkgutil
 import tracemalloc
 from collections import Counter
@@ -67,16 +66,24 @@ def test_balance_holds_no_row():
     assert peak < 4 << 20
 
 
-def test_signed_balance_route_reads_the_whole_row():
-    # C(j, d) is even at j, so j does not dominate d and the weight route
-    # never reads row[j]: only the signed sum can see the change.
-    d, n, j = 4, 4095, 4091
+@pytest.mark.parametrize("n, raised, check", [
+    # One entry raised: the halves no longer mirror each other.
+    (4095, [4091], "row is not symmetric"),
+    # A mirrored pair raised: only the row sum sees it.
+    (100, [1, 99], "row does not sum to 2^n"),
+], ids=["mirror", "row-sum"])
+def test_row_balance_checks_the_entries_the_weight_skips(n, raised, check):
+    # No raised j dominates d = 4, so the weight never reads row[j].
+    d = 4
     row = list(exactnum.pascal_row(n))
-    assert math.comb(j, d) % 2 == 0
-    assert symfun._balance(d, tuple(row), symfun._parity_mask(d, n)) == (1 << (n - 1), True)
-    row[j] += 2
-    with pytest.raises(InternalCheckError, match="d=4, n=4095"):
-        symfun._balance(d, tuple(row), symfun._parity_mask(d, n))
+    odd = symfun._parity_mask(d, n)
+    assert symfun._balance(d, tuple(row), odd) == symfun._stepped_balance(d, n)
+    for j in raised:
+        assert j & d != d
+        row[j] += 2
+    with pytest.raises(InternalCheckError) as caught:
+        symfun._balance(d, tuple(row), odd)
+    assert str(caught.value) == f"{check} at d=4, n={n}"
 
 
 def test_class_enumeration_keeps_no_memory():

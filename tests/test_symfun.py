@@ -179,11 +179,27 @@ def _assert_caught(capsys, d, n, check):
 
 
 def test_stepped_balance_catches_a_flipped_parity_byte(monkeypatch, capsys):
-    # C(4091, 4) is even; the flipped byte adds C(4095, 4) to the signed route
+    # C(4091, 4) is even; the flipped byte puts 4091 in the mask's index set
     original = symfun._parity_mask
 
     def flipped(d, n):
         odd = bytearray(original(d, n))
+        odd[4091] ^= 1
+        return bytes(odd)
+
+    monkeypatch.setattr(symfun, "_parity_mask", flipped)
+    _assert_caught(capsys, 4, 4095, "balance routes disagree")
+
+
+def test_stepped_balance_catches_two_flipped_parity_bytes(monkeypatch, capsys):
+    # C(4, 4) is odd and C(4091, 4) even; since 4091 = 4095 - 4, the flips
+    # take C(4095, 4) out of a sum over the mask and put it back, so only
+    # the index sets differ.
+    original = symfun._parity_mask
+
+    def flipped(d, n):
+        odd = bytearray(original(d, n))
+        odd[4] ^= 1
         odd[4091] ^= 1
         return bytes(odd)
 
@@ -199,8 +215,8 @@ def test_stepped_balance_catches_a_dropped_dominating_index(monkeypatch, capsys)
 
 
 def test_stepped_balance_catches_a_jump_off_by_two(monkeypatch, capsys):
-    # The first jump, C(n, 0) to C(n, 2), comes out doubled.  Both routes
-    # read the same wrong binomials, so only the 2-adic guard sees it.
+    # The first jump, C(n, 0) to C(n, 2), comes out doubled.  The walk and
+    # the mask still agree, so only the 2-adic guard sees it.
     d, n = 5, 4095
     slips = []
 
@@ -213,6 +229,21 @@ def test_stepped_balance_catches_a_jump_off_by_two(monkeypatch, capsys):
     monkeypatch.setattr(symfun, "perm", slipping)
     _assert_caught(capsys, d, n, "fails its 2-adic check")
     assert slips == [2, 2]
+
+
+def test_weight_catches_a_jump_off_by_two(monkeypatch, capsys):
+    # weight_elem steps the same loop as the balance, so the first jump,
+    # doubled, fails the same 2-adic guard.
+    d, n = 5, 4095
+    monkeypatch.setattr(symfun, "perm",
+                        lambda a, g: 2 * math.perm(a, g) if a == n else math.perm(a, g))
+    with pytest.raises(InternalCheckError, match=f"fails its 2-adic check at d={d}, n={n}$"):
+        weight_elem(d, n)
+    assert main(["weight", str(d), str(n)]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal check failed: stepped C(4095, 2047) fails its 2-adic check "
+                   "at d=5, n=4095\n")
 
 
 def test_balance_of_general_symmetric_function():
