@@ -6,14 +6,18 @@ of its classes), and its size is p! over the product of the factorials of
 the multiplicities of its counts.  When gcd(n, p) = 1 every orbit size is
 divisible by p, so each orbit splits into p equal groups of classes;
 assigning output value g to group g balances every orbit and hence the
-function.  The number of such splits is the product lower bound;
-brute-force counting provides the oracle at desk scales.
+function.  The number of such splits is the product lower bound.
+
+The exact count comes from a forward DP over the classes in descending
+size that keeps one layer of sorted bucket fills; the count over all
+functions, symmetric or not, is a factorial quotient read prime by prime.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right, insort
 from itertools import chain, compress, islice
 from typing import Iterator, Optional
 
@@ -42,13 +46,34 @@ def count_balanced_all(p: int, n: int) -> int:
     """Balanced functions GF(p)^n -> GF(p), symmetric or not:
     (p^n)! / ((p^(n-1))!)^p with s = p^(n-1), as the product of q^e over
     the primes q <= p s, e = v_q((p s)!) - p v_q(s!) by Legendre's formula,
-    multiplied pairwise so the big factors meet only at the top."""
+    multiplied pairwise so the big factors meet only at the top.
+
+    Above the root of p s, q^2 > p s, so e = (p s) // q - p (s // q): the
+    primes there fall into runs of one exponent, and each run is read
+    from the sieve at once, multiplied once and raised once."""
     _check_args(p, n)
     if n < 1:
         raise ValueError("balance needs n >= 1")
     share = p ** (n - 1)
-    return _product([q ** (_factorial_valuation(p * share, q) - p * _factorial_valuation(share, q))
-                     for q in _primes_up_to(p * share)])
+    total = p * share
+    sieve = _sieve(total)
+    root = math.isqrt(total)
+    factors = [q ** (_factorial_valuation(total, q) - p * _factorial_valuation(share, q))
+               for q in compress(range(root + 1), sieve[:root + 1])]
+    q = root + 1
+    while q <= total:
+        # total // q is the same for q..end, and so is share // q, since
+        # share // q >= b exactly when q <= share // b, that is when
+        # total // q >= p b.
+        above = total // q
+        end = total // above
+        exponent = above - p * (share // q)
+        if exponent:
+            run = list(compress(range(q, end + 1), sieve[q:end + 1]))
+            if run:
+                factors.append(_product(run) ** exponent)
+        q = end + 1
+    return _product(factors)
 
 
 def _product(factors: list[int]) -> int:
@@ -62,14 +87,15 @@ def _product(factors: list[int]) -> int:
     return factors[0]
 
 
-def _primes_up_to(m: int) -> list[int]:
-    """Primes q <= m (m >= 1), by the sieve of Eratosthenes."""
+def _sieve(m: int) -> bytearray:
+    """sieve[q] = 1 exactly for the primes q <= m (m >= 1), by the sieve of
+    Eratosthenes."""
     sieve = bytearray([1]) * (m + 1)
     sieve[:2] = b"\0\0"
     for q in range(2, math.isqrt(m) + 1):
         if sieve[q]:
             sieve[q * q::q] = bytes(len(range(q * q, m + 1, q)))
-    return list(compress(range(m + 1), sieve))
+    return sieve
 
 
 def _factorial_valuation(m: int, q: int) -> int:
@@ -289,11 +315,14 @@ def generate_balanced(p: int, n: int, limit: Optional[int] = None) -> Iterator[S
 
 
 def brute_count_balanced_symmetric(p: int, n: int) -> int:
-    """Exact count of balanced symmetric functions by exhaustive assignment
-    of output values to classes, with branches pruned once a value's input
-    count exceeds p^(n-1) and shared suffixes counted once (memoized on the
-    remaining classes and the sorted bucket fills: every bucket has the same
-    target, so relabeling buckets leaves the count unchanged).  The budget
+    """Exact count of balanced symmetric functions: the assignments of an
+    output value to every class that give each value p^(n-1) inputs.  A
+    forward DP walks the classes in descending size and keeps one layer, a
+    dict from the sorted tuple of bucket fills to the number of labeled
+    partial assignments that reach it (every bucket has the same target, so
+    relabeling buckets leaves the count unchanged).  A class of size s
+    raises each distinct fill v <= p^(n-1) - s once, weighted by how many
+    buckets hold v; the count is the entry for p full buckets.  The budget
     is checked before any class is listed."""
     _check_args(p, n)
     if n < 1:
@@ -302,24 +331,21 @@ def brute_count_balanced_symmetric(p: int, n: int) -> int:
     if classes * math.log2(p) > BRUTE_MAX_BITS:
         raise BudgetError(
             f"assignment space p^{classes} exceeds the 2^{BRUTE_MAX_BITS} cap")
-    sizes = sorted(_class_sizes(p, n), reverse=True)
     target = p ** (n - 1)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def count_from(idx: int, buckets: tuple[int, ...]) -> int:
-        if idx == len(sizes):
-            return 1
-        key = (idx, tuple(sorted(buckets)))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        size = sizes[idx]
-        total = 0
-        for b in range(p):
-            if buckets[b] + size <= target:
-                total += count_from(
-                    idx + 1, buckets[:b] + (buckets[b] + size,) + buckets[b + 1:])
-        memo[key] = total
-        return total
-
-    return count_from(0, (0,) * p)
+    layer = {(0,) * p: 1}
+    for size in sorted(_class_sizes(p, n), reverse=True):
+        room = target - size
+        step: dict[tuple[int, ...], int] = {}
+        for fills, ways in layer.items():
+            i = 0
+            while i < p and fills[i] <= room:
+                v = fills[i]
+                k = bisect_right(fills, v, i + 1)
+                raised = list(fills)
+                del raised[i]
+                insort(raised, v + size, i)
+                key = tuple(raised)
+                step[key] = step.get(key, 0) + ways * (k - i)
+                i = k
+        layer = step
+    return layer.get((target,) * p, 0)

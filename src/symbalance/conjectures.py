@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import BudgetError
 from .exactnum import lacunary_trig_sums, pascal_rows
-from .symfun import _balance, _parity_mask, weight_in_row
+from .symfun import _balance, _check_row, _parity_mask, weight_in_row
 
 if TYPE_CHECKING:
     import mpmath
@@ -62,8 +62,12 @@ def scan_conjecture1(n_max: int) -> list[ScanCell]:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C1_MAX_N}")
     # One parity mask per degree, read by every row up to n_max.
     masks = {d: _parity_mask(d, n_max) for d in range(2, n_max + 1)}
-    return [ScanCell(d, n, *_balance(d, row, masks[d]), predicted_balanced(d, n))
-            for n, row in pascal_rows(2, n_max) for d in range(2, n + 1)]
+    cells = []
+    for n, row in pascal_rows(2, n_max):
+        _check_row(row)
+        cells += [ScanCell(d, n, *_balance(d, row, masks[d]), predicted_balanced(d, n))
+                  for d in range(2, n + 1)]
+    return cells
 
 
 def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:

@@ -181,24 +181,29 @@ def _stepped_balance(d: int, n: int) -> tuple[int, bool]:
     return w, w == 1 << (n - 1)
 
 
-def _balance(d: int, row: tuple[int, ...], odd: bytes) -> tuple[int, bool]:
-    """Weight and balance of X(d, n) for row = pascal_row(n) and
-    1 <= d <= n, with odd[j] = C(j, d) mod 2 for j <= n (odd may run past
-    n; a scan passes one mask per degree): _stepped_balance for a caller
-    that holds the row.
-
-    The lower half row[:h + 1], h = n // 2, must equal the mirrored upper
-    half (pascal_row and pascal_rows build both from the same int objects,
-    so this costs almost nothing there), and 2 sum(half), less the middle
-    entry for even n, must be 2^n; the weight sums row over _checked_walk.
-    A failed check raises InternalCheckError."""
+def _check_row(row: tuple[int, ...]) -> None:
+    """Checks row = pascal_row(n) once, for the scans' _balance calls on
+    it: the lower half row[:h + 1], h = n // 2, must equal the mirrored
+    upper half (pascal_row and pascal_rows build both from the same int
+    objects, so this costs almost nothing there), and 2 sum(half), less
+    the middle entry for even n, must be 2^n.  These see entries that no
+    weight reads.  A failed check raises InternalCheckError."""
     n = len(row) - 1
     h = n // 2
     half = row[:h + 1]
     if half != row[:n - h - 1:-1]:
-        raise InternalCheckError(f"row is not symmetric at d={d}, n={n}")
+        raise InternalCheckError(f"row is not symmetric at n={n}")
     if 2 * sum(half) - (half[h] if n % 2 == 0 else 0) != 1 << n:
-        raise InternalCheckError(f"row does not sum to 2^n at d={d}, n={n}")
+        raise InternalCheckError(f"row does not sum to 2^n at n={n}")
+
+
+def _balance(d: int, row: tuple[int, ...], odd: bytes) -> tuple[int, bool]:
+    """Weight and balance of X(d, n) for row = pascal_row(n), checked by
+    _check_row, and 1 <= d <= n, with odd[j] = C(j, d) mod 2 for j <= n
+    (odd may run past n; a scan passes one mask per degree):
+    _stepped_balance for a caller that holds the row.  The weight sums
+    row over _checked_walk."""
+    n = len(row) - 1
     w = sum(map(row.__getitem__, _checked_walk(d, n, odd)))
     return w, w == 1 << (n - 1)
 

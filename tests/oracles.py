@@ -176,6 +176,23 @@ def count_balanced_symmetric_enumerate(p, n):
     return total
 
 
+def count_balanced_symmetric_fills(p, n):
+    """Count balanced symmetric functions by a DP over labeled bucket
+    fills: each class in turn goes to every value whose input count stays
+    within p^(n-1), and the Counter keeps one entry per unsorted tuple of
+    counts, so no two states stand for each other."""
+    share = p ** (n - 1)
+    fills = Counter({(0,) * p: 1})
+    for _, size in symmetric_classes(p, n):
+        raised = Counter()
+        for state, ways in fills.items():
+            for value, filled in enumerate(state):
+                if filled + size <= share:
+                    raised[state[:value] + (filled + size,) + state[value + 1:]] += ways
+        fills = raised
+    return fills[(share,) * p]
+
+
 def count_balanced_all_enumerate(p, n):
     """Count balanced functions among all p^(p^n) functions."""
     inputs = p ** n

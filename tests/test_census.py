@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice, permutations, product
 
 import pytest
@@ -27,13 +28,24 @@ from symbalance.symfun import SymmetricFunction
 BRUTE_COUNTS = {
     (2, 3): 4,
     (2, 14): 14,
+    (2, 16): 2,
     (2, 20): 6,
     (2, 24): 50,
     (3, 2): 36,
     (3, 4): 19440,
+    (3, 7): 4607848058400,
+    (3, 8): 5113518240381120,
+    (3, 9): 6462858787021871160,
     (5, 2): 13608000,
+    (5, 3): 39830527082946600000,
     (7, 1): 5040,
+    (7, 2): 919847209881600000,
+    (13, 1): 6227020800,
 }
+
+# Every (p, n) the labeled-fill oracle reaches in a few seconds in all.
+FILL_DP_SIZES = ([(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 8)]
+                 + [(5, n) for n in range(1, 4)] + [(7, 1), (7, 2), (11, 1), (13, 1)])
 
 
 def test_count_symmetric():
@@ -95,6 +107,23 @@ def test_brute_count_matches_exhaustive_assignment():
     for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]:
         assert brute_count_balanced_symmetric(p, n) == \
             oracles.count_balanced_symmetric_enumerate(p, n)
+
+
+@pytest.mark.parametrize("p, n", FILL_DP_SIZES)
+def test_brute_count_matches_the_labeled_fill_dp(p, n):
+    assert brute_count_balanced_symmetric(p, n) == oracles.count_balanced_symmetric_fills(p, n)
+
+
+def test_brute_count_keeps_one_layer():
+    # The DP holds one layer of sorted fills at a time, not every state
+    # it has seen.
+    tracemalloc.start()
+    try:
+        assert brute_count_balanced_symmetric(3, 9) == BRUTE_COUNTS[3, 9]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3e6
 
 
 def test_brute_count_budget():

@@ -73,17 +73,51 @@ def test_balance_holds_no_row():
     (100, [1, 99], "row does not sum to 2^n"),
 ], ids=["mirror", "row-sum"])
 def test_row_balance_checks_the_entries_the_weight_skips(n, raised, check):
-    # No raised j dominates d = 4, so the weight never reads row[j].
+    # No raised j dominates d = 4, so the weight never reads row[j]: only
+    # the row check, which the scans run once per row, sees the change.
     d = 4
     row = list(exactnum.pascal_row(n))
     odd = symfun._parity_mask(d, n)
+    symfun._check_row(tuple(row))
     assert symfun._balance(d, tuple(row), odd) == symfun._stepped_balance(d, n)
     for j in raised:
         assert j & d != d
         row[j] += 2
+    assert symfun._balance(d, tuple(row), odd) == symfun._stepped_balance(d, n)
     with pytest.raises(InternalCheckError) as caught:
-        symfun._balance(d, tuple(row), odd)
-    assert str(caught.value) == f"{check} at d=4, n={n}"
+        symfun._check_row(tuple(row))
+    assert str(caught.value) == f"{check} at n={n}"
+
+
+@pytest.mark.parametrize("raised, check", [
+    ([3], "row is not symmetric"),
+    ([1, 59], "row does not sum to 2^n"),
+], ids=["mirror", "row-sum"])
+def test_scan_checks_each_row_once(monkeypatch, raised, check):
+    rows = conjectures.pascal_rows
+    checked = Counter()
+
+    def counting(row):
+        checked[len(row) - 1] += 1
+        return symfun._check_row(row)
+
+    monkeypatch.setattr(conjectures, "_check_row", counting)
+    scan_conjecture1(64)
+    assert checked == Counter(range(2, 65))
+
+    def raising(lo, hi):
+        for n, row in rows(lo, hi):
+            if n == 60:
+                row = list(row)
+                for j in raised:
+                    row[j] += 2
+                row = tuple(row)
+            yield n, row
+
+    monkeypatch.setattr(conjectures, "pascal_rows", raising)
+    with pytest.raises(InternalCheckError) as caught:
+        scan_conjecture1(64)
+    assert str(caught.value) == f"{check} at n=60"
 
 
 def test_class_enumeration_keeps_no_memory():

@@ -16,6 +16,7 @@ from symbalance.symfun import (
     SymmetricFunction,
     WeightFunction,
     _balance,
+    _check_row,
     _class_sizes,
     _parity_mask,
     _stepped_balance,
@@ -166,6 +167,7 @@ def test_odd_degree_above_one_never_balanced():
 def test_stepped_balance_matches_the_row_route_up_to_160():
     for n in range(1, 161):
         row = pascal_row(n)
+        _check_row(row)
         for d in range(1, n + 1):
             assert _stepped_balance(d, n) == _balance(d, row, _parity_mask(d, n)), (d, n)
 
