@@ -5,6 +5,10 @@ are exactly the pairs d = 2^t, n = 2^(t+1) l - 1.  Conjecture 2 (weight):
 once d has at least six binary ones and n >= 2(d - 1), the weight of
 X(d, n) stays strictly below 2^(n-2).  Scans recompute every cell in a
 range exactly and report the cells so callers can look for mismatches.
+Both scans step each row from the last (pascal_rows) and sum it over the
+prefix <= n of one checked Lucas walk per degree, built at the largest n
+(symfun._checked_walk), so a walk that strays from the Kummer mask raises
+InternalCheckError before any cell is made.
 
 The closed-form weights for degrees 2^t + 1 and 1 + 2^s + 2^t are short
 cosine sums instead of binomial rows.  Each is evaluated as a sum of the
@@ -16,12 +20,13 @@ the first such call.  The scans never load it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError
 from .exactnum import lacunary_trig_sums, pascal_rows
-from .symfun import _balance, _check_row, _parity_mask, weight_in_row
+from .symfun import _check_row, _checked_walk
 
 if TYPE_CHECKING:
     import mpmath
@@ -53,6 +58,12 @@ def predicted_balanced(d: int, n: int) -> bool:
     return d & (d - 1) == 0 and (n + 1) % (2 * d) == 0
 
 
+def _walk_sum(walk: list[int], row: tuple[int, ...]) -> int:
+    """wt(X(d, n)) for row = pascal_row(n) and walk = _checked_walk(d, m),
+    m >= n: the sum of row over the prefix of walk that is <= n."""
+    return sum(map(row.__getitem__, walk[:bisect_right(walk, len(row) - 1)]))
+
+
 def scan_conjecture1(n_max: int) -> list[ScanCell]:
     """Every cell 2 <= d <= n <= n_max with its exact weight, its exact
     balancedness, and the conjectured verdict, ordered by (n, d)."""
@@ -60,13 +71,14 @@ def scan_conjecture1(n_max: int) -> list[ScanCell]:
         raise ValueError("n_max must be at least 2")
     if n_max > C1_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C1_MAX_N}")
-    # One parity mask per degree, read by every row up to n_max.
-    masks = {d: _parity_mask(d, n_max) for d in range(2, n_max + 1)}
+    walks = {d: _checked_walk(d, n_max) for d in range(2, n_max + 1)}
     cells = []
     for n, row in pascal_rows(2, n_max):
         _check_row(row)
-        cells += [ScanCell(d, n, *_balance(d, row, masks[d]), predicted_balanced(d, n))
-                  for d in range(2, n + 1)]
+        half = 1 << (n - 1)
+        for d in range(2, n + 1):
+            w = _walk_sum(walks[d], row)
+            cells.append(ScanCell(d, n, w, w == half, predicted_balanced(d, n)))
     return cells
 
 
@@ -78,15 +90,16 @@ def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:
     if n_max > C2_MAX_N:
         raise BudgetError(f"n_max={n_max} exceeds the scan cap {C2_MAX_N}")
     degrees = [d for d in range(63, n_max // 2 + 2) if d.bit_count() >= 6]
+    walks = [_checked_walk(d, n_max) for d in degrees]
     by_degree = [[] for _ in degrees]
     # Row by row, each stepped from the last; 63 is the first degree.  Each
     # degree's cells are appended in n order.
     for n, row in pascal_rows(2 * (63 - 1), n_max):
         bound = 1 << (n - 2)
-        for d, cells in zip(degrees, by_degree):
+        for d, walk, cells in zip(degrees, walks, by_degree):
             if n < 2 * (d - 1):
                 break
-            w = weight_in_row(d, row)
+            w = _walk_sum(walk, row)
             cells.append(BoundCell(d, n, w, bound, w < bound))
     return [cell for cells in by_degree for cell in cells]
 

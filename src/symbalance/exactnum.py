@@ -90,42 +90,34 @@ _SPRP_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Primality, exactly.  Below 2^20 by trial division; from 2^20 up to
-    3,317,044,064,679,887,385,961,981 by strong probable-prime tests to
-    the first 13 prime bases, which no composite there passes.  Past that
-    no fixed set of bases is proven and trial division takes time of order
-    sqrt(p), so BudgetError is raised."""
+    """Primality, exactly, by strong probable-prime tests to the first 13
+    prime bases, which no composite below 3,317,044,064,679,887,385,961,981
+    passes.  A base that is itself the prime fails its own test (p divides
+    it), so the bases are answered first.  Past that range no fixed set of
+    bases is proven and trial division takes time of order sqrt(p), so
+    BudgetError is raised."""
     if p < 2:
         return False
     if p >= _SPRP_EXACT_BELOW:
         raise BudgetError(f"p={p} is past the proven primality range "
                           f"p < {_SPRP_EXACT_BELOW}")
-    if p >= 1 << 20:
-        if p % 2 == 0:
-            return False
-        d, s = p - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in _SPRP_BASES:
-            x = pow(a, d, p)
-            if x == 1 or x == p - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % p
-                if x == p - 1:
-                    break
-            else:
-                return False
-        return True
-    if p < 4:
+    if p in _SPRP_BASES:
         return True
     if p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SPRP_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -7,6 +7,11 @@ WeightFunction form applies; the degree-d elementary symmetric form takes
 the value C(j, d) mod 2 on inputs of weight j, since exactly C(j, d) of its
 monomials are all-ones there.
 
+The weight wt(X(d, n)) sums C(n, i) over one index walk, the i that
+dominate d (_dominating).  weight_elem steps C(n, i) along it; the balance
+steps along the walk checked against the Kummer mask (_checked_walk), and
+the scans sum a row over a prefix of one checked walk per degree.
+
 Importing this module loads errors and nothing else of the package: the
 weight and balance walks need only math, and the functions that call
 exactnum (SymmetricFunction and _class_sizes) import it when they run.
@@ -111,11 +116,6 @@ def _dominating(d: int, n: int) -> Iterator[int]:
         i = (i + 1) | d
 
 
-def weight_in_row(d: int, row: tuple[int, ...]) -> int:
-    """Sum of row[i] over the i that dominate d: wt(X(d, n)) for row = pascal_row(n)."""
-    return sum(map(row.__getitem__, _dominating(d, len(row) - 1)))
-
-
 def _stepped_sum(d: int, n: int, indices: Iterable[int]) -> int:
     """Sum of C(n, i) over the ascending indices 0 <= i <= n, for
     X(d, n) (d names the form in an error only), without a row.
@@ -158,16 +158,19 @@ def weight_elem(d: int, n: int) -> int:
     return _stepped_sum(d, n, _dominating(d, n))
 
 
-def _checked_walk(d: int, n: int, odd: bytes) -> list[int]:
+def _checked_walk(d: int, n: int) -> list[int]:
     """The i <= n that dominate d, from the Lucas walk (_dominating),
-    checked against the j <= n with odd[j] = 1, C(j, d) odd by Kummer's
-    theorem (_parity_mask; odd may run past n).  By Lucas's theorem
-    C(j, d) is odd exactly when j dominates d, so the two lists are equal;
-    if they differ, raises InternalCheckError.  Equal sets give equal
-    sums, and the set check also sees faults that keep a sum, such as
-    flipped bytes at j and n - j."""
+    checked against the j <= n with C(j, d) odd by Kummer's theorem
+    (_parity_mask).  By Lucas's theorem C(j, d) is odd exactly when j
+    dominates d, so the two lists are equal; if they differ, raises
+    InternalCheckError.  Equal sets give equal sums, and the set check also
+    sees faults that keep a sum, such as flipped bytes at j and n - j.
+
+    The walk reads n only as its stop bound, so its prefix <= m is the
+    checked walk for every m < n: the scans check one walk per degree at
+    their largest n and sum each row over its prefix."""
     walk = list(_dominating(d, n))
-    if walk != list(compress(range(n + 1), odd)):
+    if walk != list(compress(range(n + 1), _parity_mask(d, n))):
         raise InternalCheckError(f"balance routes disagree at d={d}, n={n}")
     return walk
 
@@ -177,17 +180,18 @@ def _stepped_balance(d: int, n: int) -> tuple[int, bool]:
     a row: the weight is _stepped_sum over _checked_walk, so the Lucas
     walk must match the Kummer mask and the last stepped binomial must
     pass its 2-adic guard, or InternalCheckError is raised."""
-    w = _stepped_sum(d, n, _checked_walk(d, n, _parity_mask(d, n)))
+    w = _stepped_sum(d, n, _checked_walk(d, n))
     return w, w == 1 << (n - 1)
 
 
 def _check_row(row: tuple[int, ...]) -> None:
-    """Checks row = pascal_row(n) once, for the scans' _balance calls on
-    it: the lower half row[:h + 1], h = n // 2, must equal the mirrored
-    upper half (pascal_row and pascal_rows build both from the same int
-    objects, so this costs almost nothing there), and 2 sum(half), less
-    the middle entry for even n, must be 2^n.  These see entries that no
-    weight reads.  A failed check raises InternalCheckError."""
+    """Checks row = pascal_row(n) once, for scan_conjecture1, which sums
+    each row over the checked walks: the lower half row[:h + 1],
+    h = n // 2, must equal the mirrored upper half (pascal_row and
+    pascal_rows build both from the same int objects, so this costs almost
+    nothing there), and 2 sum(half), less the middle entry for even n, must
+    be 2^n.  These see entries that no weight reads.  A failed check raises
+    InternalCheckError."""
     n = len(row) - 1
     h = n // 2
     half = row[:h + 1]
@@ -195,17 +199,6 @@ def _check_row(row: tuple[int, ...]) -> None:
         raise InternalCheckError(f"row is not symmetric at n={n}")
     if 2 * sum(half) - (half[h] if n % 2 == 0 else 0) != 1 << n:
         raise InternalCheckError(f"row does not sum to 2^n at n={n}")
-
-
-def _balance(d: int, row: tuple[int, ...], odd: bytes) -> tuple[int, bool]:
-    """Weight and balance of X(d, n) for row = pascal_row(n), checked by
-    _check_row, and 1 <= d <= n, with odd[j] = C(j, d) mod 2 for j <= n
-    (odd may run past n; a scan passes one mask per degree):
-    _stepped_balance for a caller that holds the row.  The weight sums
-    row over _checked_walk."""
-    n = len(row) - 1
-    w = sum(map(row.__getitem__, _checked_walk(d, n, odd)))
-    return w, w == 1 << (n - 1)
 
 
 def is_balanced_elem(d: int, n: int) -> bool:

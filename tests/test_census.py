@@ -133,6 +133,16 @@ def test_brute_count_budget():
         brute_count_balanced_symmetric(2, 0)
 
 
+def test_brute_count_cap_is_strict(monkeypatch):
+    # p = 2 has n + 1 classes, so at a 12-bit cap (2, 11) fills it exactly
+    # and answers, and (2, 12) is one bit past it.
+    monkeypatch.setattr(census, "BRUTE_MAX_BITS", 12)
+    assert brute_count_balanced_symmetric(2, 11) == 64
+    with pytest.raises(BudgetError) as caught:
+        brute_count_balanced_symmetric(2, 12)
+    assert str(caught.value) == "assignment space p^13 exceeds the 2^12 cap"
+
+
 def _partitions(n, p):
     """The partitions _orbit_walk steps through, as tuples of parts."""
     for parts, multiplicities in _orbit_walk(n, p):

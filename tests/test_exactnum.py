@@ -96,7 +96,7 @@ def test_is_prime_matches_a_sieve():
             sieve[f * f::f] = bytes(len(range(f * f, limit, f)))
     primes = [m for m in range(limit) if sieve[m]]
     assert [m for m in range(limit) if is_prime(m)] == primes
-    # Across 2^20, where trial division hands over to the strong tests.
+    # Across 2^20, against trial division by the sieved primes.
     for m in range((1 << 20) - 500, (1 << 20) + 5000):
         assert is_prime(m) == all(m % f for f in takewhile(lambda f: f * f <= m, primes)), m
 

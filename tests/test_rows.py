@@ -74,16 +74,17 @@ def test_balance_holds_no_row():
 ], ids=["mirror", "row-sum"])
 def test_row_balance_checks_the_entries_the_weight_skips(n, raised, check):
     # No raised j dominates d = 4, so the weight never reads row[j]: only
-    # the row check, which the scans run once per row, sees the change.
+    # the row check, which scan_conjecture1 runs once per row, sees the change.
     d = 4
     row = list(exactnum.pascal_row(n))
-    odd = symfun._parity_mask(d, n)
+    walk = symfun._checked_walk(d, n)
+    weight = symfun._stepped_balance(d, n)[0]
     symfun._check_row(tuple(row))
-    assert symfun._balance(d, tuple(row), odd) == symfun._stepped_balance(d, n)
+    assert conjectures._walk_sum(walk, tuple(row)) == weight
     for j in raised:
         assert j & d != d
         row[j] += 2
-    assert symfun._balance(d, tuple(row), odd) == symfun._stepped_balance(d, n)
+    assert conjectures._walk_sum(walk, tuple(row)) == weight
     with pytest.raises(InternalCheckError) as caught:
         symfun._check_row(tuple(row))
     assert str(caught.value) == f"{check} at n={n}"
@@ -118,6 +119,40 @@ def test_scan_checks_each_row_once(monkeypatch, raised, check):
     with pytest.raises(InternalCheckError) as caught:
         scan_conjecture1(64)
     assert str(caught.value) == f"{check} at n=60"
+
+
+def _flip_last_parity_byte(monkeypatch):
+    # C(n, d) is even for n = 64 or 512 and every degree the scans start at,
+    # so the flip puts n in the mask's index set.
+    original = symfun._parity_mask
+
+    def flipped(d, n):
+        odd = bytearray(original(d, n))
+        odd[n] ^= 1
+        return bytes(odd)
+
+    monkeypatch.setattr(symfun, "_parity_mask", flipped)
+
+
+def _drop_dominating_63(monkeypatch):
+    # 63 dominates every degree below 64, so every walk the scans start
+    # with loses it.
+    original = symfun._dominating
+    monkeypatch.setattr(symfun, "_dominating",
+                        lambda d, n: (i for i in original(d, n) if i != 63))
+
+
+@pytest.mark.parametrize("mutate", [_flip_last_parity_byte, _drop_dominating_63],
+                         ids=["flipped-parity-byte", "dropped-dominating-index"])
+def test_scans_check_the_walk_against_the_mask(monkeypatch, capsys, mutate):
+    mutate(monkeypatch)
+    for scan, n_max, d in ((scan_conjecture1, 64, 2), (scan_conjecture2, 512, 63)):
+        with pytest.raises(InternalCheckError) as caught:
+            scan(n_max)
+        assert str(caught.value) == f"balance routes disagree at d={d}, n={n_max}"
+    assert main(["scan-c2", "--n-max", "512"]) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal check failed: balance routes disagree at d=63, n=512\n"
 
 
 def test_class_enumeration_keeps_no_memory():

@@ -10,20 +10,19 @@ import oracles
 import symbalance.symfun as symfun
 from oracles import MultisetClass, enumerate_classes
 from symbalance.cli import main
+from symbalance.conjectures import _walk_sum
 from symbalance.errors import InternalCheckError
 from symbalance.exactnum import binom, pascal_row
 from symbalance.symfun import (
     SymmetricFunction,
     WeightFunction,
-    _balance,
     _check_row,
+    _checked_walk,
     _class_sizes,
-    _parity_mask,
     _stepped_balance,
     elem_values,
     is_balanced_elem,
     weight_elem,
-    weight_in_row,
 )
 
 
@@ -165,11 +164,14 @@ def test_odd_degree_above_one_never_balanced():
 
 
 def test_stepped_balance_matches_the_row_route_up_to_160():
+    # The scans' route: one checked walk per degree, summed over its prefix.
+    walks = {d: _checked_walk(d, 160) for d in range(1, 161)}
     for n in range(1, 161):
         row = pascal_row(n)
         _check_row(row)
         for d in range(1, n + 1):
-            assert _stepped_balance(d, n) == _balance(d, row, _parity_mask(d, n)), (d, n)
+            w = _walk_sum(walks[d], row)
+            assert _stepped_balance(d, n) == (w, w == 1 << (n - 1)), (d, n)
 
 
 def _assert_caught(capsys, d, n, check):
@@ -320,7 +322,10 @@ def test_elem_values_match_lucas_for_every_degree():
 
 
 def test_weight_in_row_matches_the_dominance_filter():
+    # A row summed over the prefix of one checked walk per degree, as the
+    # scans read it.
+    walks = [_checked_walk(d, 200) for d in range(201)]
     for n in range(201):
         row = tuple(math.comb(n, i) for i in range(n + 1))
         for d in range(n + 1):
-            assert weight_in_row(d, row) == sum(c for i, c in enumerate(row) if i & d == d)
+            assert _walk_sum(walks[d], row) == sum(c for i, c in enumerate(row) if i & d == d)
