@@ -15,14 +15,18 @@ argparse parser built from the same table when it is needed, so argparse
 loads only for help, usage errors and the other spellings it accepts, and
 answers them as it always has.
 
-Each handler imports the modules it runs when it runs, so a call loads
-errors, this module and only the modules of its command: weight loads
-symfun alone, balanced symfun and exactnum, sac and walsh add spectral,
-count, lower-bound and generate load census (bisect adds bisection), the
-scans load conjectures, and lacunary only exactnum.  JSON and CSV are
-written here a column at a time (see _encode), not by the json and csv
-modules, for just the ints, bools and strs of digits, signs and commas
-that the commands print, so no call loads json or csv.
+Every call runs this module: the grammar, the parse, the exit codes and
+caps, and the writers.  The handlers live in symbalance.commands, one
+module per engine module they front, and _GRAMMAR names each command's
+module, imported on its first call.  So a call compiles errors, this
+module, the commands package and its own command module, and no code of
+another command.  Each handler imports the engine modules it runs when
+it runs: weight and balanced load symfun alone, sac adds spectral and
+walsh exactnum too, count, lower-bound and generate load census (bisect
+adds bisection), the scans load conjectures, and lacunary only exactnum.
+JSON and CSV are written here a column at a time (see _encode), not by
+the json and csv modules, for just the ints, bools and strs of digits,
+signs and commas that the commands print, so no call loads json or csv.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
-from operator import itemgetter
+from importlib import import_module
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -99,236 +103,20 @@ class CommandResult(namedtuple("CommandResult", "command parameters table lines 
     __slots__ = ()
 
 
-def _cmd_weight(args) -> CommandResult:
-    from .symfun import weight_elem
+class _Handler(namedtuple("_Handler", "module name")):
+    """The handler `name` of the command module `module`, a dotted name,
+    imported on its first call and read from sys.modules after that."""
 
-    weight = str(weight_elem(args.d, args.n))
-    return CommandResult(
-        "weight", {"d": args.d, "n": args.n},
-        {"d": [args.d], "n": [args.n], "weight": [weight]},
-        lambda: [f"wt(X({args.d},{args.n})) = {weight}"])
+    __slots__ = ()
 
-
-def _cmd_balanced(args) -> CommandResult:
-    from .symfun import _stepped_balance, check_degree
-
-    check_degree(args.d, args.n)
-    weight, balanced = _stepped_balance(args.d, args.n)
-    weight = str(weight)
-    verdict = _BOOLS[balanced]
-    return CommandResult(
-        "balanced", {"d": args.d, "n": args.n},
-        {"d": [args.d], "n": [args.n], "weight": [weight], "balanced": [balanced]},
-        lambda: [f"X({args.d},{args.n}): weight {weight} of {1 << args.n} inputs; "
-                 f"balanced: {verdict}"])
+    def __call__(self, args) -> CommandResult:
+        module = sys.modules.get(self.module) or import_module(self.module)
+        return getattr(module, self.name)(args)
 
 
-def _cmd_sac(args) -> CommandResult:
-    from .spectral import is_sac_elem
-
-    ok = is_sac_elem(args.d, args.n)
-    verdict = "satisfies" if ok else "does not satisfy"
-    return CommandResult(
-        "sac", {"d": args.d, "n": args.n},
-        {"d": [args.d], "n": [args.n], "sac": [ok]},
-        lambda: [f"X({args.d},{args.n}) {verdict} the strict avalanche criterion"])
-
-
-def _cmd_walsh(args) -> CommandResult:
-    from .spectral import walsh_spectrum
-    from .symfun import check_degree, elem_values
-
-    check_degree(args.d, args.n)
-    if args.n > WALSH_MAX_N:
-        raise BudgetError(f"n={args.n} exceeds the spectrum cap {WALSH_MAX_N}")
-    values = list(map(str, walsh_spectrum(elem_values(args.d, args.n)).by_weight))
-    return CommandResult(
-        "walsh", {"d": args.d, "n": args.n},
-        {"y": range(len(values)), "value": values},
-        lambda: [f"W[{y}] = {value}" for y, value in enumerate(values)])
-
-
-def _cmd_bisect(args) -> CommandResult:
-    from .bisection import find_all_solutions
-
-    if args.enumerate:
-        report = find_all_solutions(args.n, enumerate_witnesses=True,
-                                    witness_limit=args.limit)
-        deltas = ["".join("+" if x > 0 else "-" for x in sv.delta) for sv in report.witnesses]
-        # The lines keep the counts, not the witnesses.
-        counts = report.total, report.trivial, report.nontrivial
-        return CommandResult(
-            "bisect", {"n": args.n, "limit": args.limit},
-            {"index": range(len(deltas)), "delta": deltas},
-            lambda: [_bisect_summary(args.n, *counts), *deltas])
-    report = find_all_solutions(args.n)
-    total, trivial, nontrivial = map(str, (report.total, report.trivial, report.nontrivial))
-    return CommandResult(
-        "bisect", {"n": args.n, "limit": None},
-        {"n": [args.n], "total": [total], "trivial": [trivial], "nontrivial": [nontrivial]},
-        lambda: [_bisect_summary(args.n, total, trivial, nontrivial)])
-
-
-def _bisect_summary(n: int, total, trivial, nontrivial) -> str:
-    return f"n={n}: {total} solutions ({trivial} trivial, {nontrivial} nontrivial)"
-
-
-def _over_count_cap(p: int, n: int) -> bool:
-    """p^n > COUNT_MAX_INPUTS for p >= 2 and n >= 0, decided without
-    forming a large power: p^n >= 2^(n (bits - 1)), past the cap 2^20
-    once n (bits - 1) >= 21."""
-    return n * (p.bit_length() - 1) >= 21 or p ** n > COUNT_MAX_INPUTS
-
-
-def _cmd_count(args) -> CommandResult:
-    from .census import (_check_args, brute_count_balanced_symmetric, count_balanced_all,
-                         count_symmetric)
-
-    # p and n are checked first, as generate checks them: the cap reads
-    # p^n only for a prime p and n >= 0.
-    _check_args(args.p, args.n)
-    if _over_count_cap(args.p, args.n):
-        # The decimal of p^n alone takes seconds at n = 10^6.
-        inputs = (args.p ** args.n if args.n * args.p.bit_length() <= 14000
-                  else f"{args.p}^{args.n}")
-        raise BudgetError(f"p^n={inputs} exceeds the counting cap {COUNT_MAX_INPUTS}")
-    # The census DP checks p, n and its budget before any work, with the
-    # same messages as count_symmetric, so it runs first: at p = 65537 the
-    # decimal of p^p alone takes seconds.
-    among_symmetric = str(brute_count_balanced_symmetric(args.p, args.n))
-    symmetric = str(count_symmetric(args.p, args.n))
-    over_all = str(count_balanced_all(args.p, args.n))
-    return CommandResult(
-        "count", {"p": args.p, "n": args.n},
-        {"p": [args.p], "n": [args.n], "symmetric": [symmetric],
-         "balanced_all": [over_all], "balanced_symmetric": [among_symmetric]},
-        lambda: [f"symmetric functions: {symmetric}",
-                 f"balanced functions (all): {over_all}",
-                 f"balanced symmetric functions: {among_symmetric}"])
-
-
-def _cmd_lower_bound(args) -> CommandResult:
-    from .census import _split_count, _split_orbit_sizes
-
-    # One walk reads the orbits, refusing a pair whose orbits do not split
-    # (exit 64) or whose bound is past the cap (exit 65) before any
-    # factorial is formed.
-    bound = str(_split_count(args.p, _split_orbit_sizes(args.p, args.n, LOWER_BOUND_MAX_BITS)))
-    return CommandResult(
-        "lower-bound", {"p": args.p, "n": args.n},
-        {"p": [args.p], "n": [args.n], "bound": [bound]},
-        lambda: [f"at least {bound} balanced symmetric functions "
-                 f"for p={args.p}, n={args.n}"])
-
-
-def _cmd_generate(args) -> CommandResult:
-    from .census import _check_args, generate_balanced
-    from .exactnum import binom
-
-    # p and n are checked first, as the census checks them: the class cap
-    # C(p + n - 1, n) is formed only for a prime p and n >= 0.
-    _check_args(args.p, args.n)
-    if binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
-        raise BudgetError(
-            f"p={args.p}, n={args.n} has more than {GENERATE_MAX_CLASSES} classes")
-    # Values of 10 and up take two digits, so they need a separator.
-    sep = "," if args.p > 10 else ""
-    values = [sep.join(map(str, fn.values))
-              for fn in generate_balanced(args.p, args.n, limit=args.limit)]
-    return CommandResult(
-        "generate", {"p": args.p, "n": args.n, "limit": args.limit},
-        {"index": range(len(values)), "values": values},
-        lambda: [f"{index}: {value}" for index, value in enumerate(values)])
-
-
-def _cell_columns(cells: list, fields: tuple[str, ...]) -> dict:
-    """Scan cells, namedtuples with these fields, as one lazy column per
-    field, so text output never reads them."""
-    return {field: map(itemgetter(i), cells) for i, field in enumerate(fields)}
-
-
-def _bound_decimals(cells: list) -> Iterator[str]:
-    """The decimal of each cell's bound, formed once per row n, since the
-    bound 2^(n-2) depends on n alone."""
-    decimals = {}
-    for cell in cells:
-        decimal = decimals.get(cell.n)
-        if decimal is None:
-            decimal = decimals[cell.n] = str(cell.bound)
-        yield decimal
-
-
-def _cmd_scan_c1(args) -> CommandResult:
-    from .conjectures import C1_MAX_N, ScanCell, conjecture1_mismatches, scan_conjecture1
-
-    n_max = C1_MAX_N if args.n_max is None else args.n_max
-    cells = scan_conjecture1(n_max)
-    bad = conjecture1_mismatches(cells)
-    table = _cell_columns(cells, ScanCell._fields)
-    table["weight"] = map(str, table["weight"])
-
-    def lines():
-        return [*(f"mismatch at d={c.d}, n={c.n}: balanced={c.balanced}, "
-                  f"predicted={c.predicted}" for c in bad),
-                f"scanned {len(cells)} cells with 2 <= d <= n <= {n_max}; "
-                f"mismatches: {len(bad)}"]
-
-    return CommandResult("scan-c1", {"n_max": n_max}, table, lines,
-                         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
-
-
-def _cmd_scan_c2(args) -> CommandResult:
-    from .conjectures import BoundCell, C2_DEFAULT_N, conjecture2_violations, scan_conjecture2
-
-    n_max = C2_DEFAULT_N if args.n_max is None else args.n_max
-    cells = scan_conjecture2(n_max)
-    bad = conjecture2_violations(cells)
-    table = _cell_columns(cells, BoundCell._fields)
-    table["weight"] = map(str, table["weight"])
-    table["bound"] = _bound_decimals(cells)
-
-    def lines():
-        return [*(f"violation at d={c.d}, n={c.n}: weight {c.weight} reaches "
-                  f"2^(n-2) = {c.bound}" for c in bad),
-                f"scanned {len(cells)} cells with wt(d) >= 6, "
-                f"2(d-1) <= n <= {n_max}; violations: {len(bad)}"]
-
-    return CommandResult("scan-c2", {"n_max": n_max}, table, lines,
-                         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
-
-
-def _cmd_lacunary(args) -> CommandResult:
-    from .exactnum import _lacunary_residues, lacunary_sums, lacunary_trig_sums
-
-    # n, power and the residue are checked as the routes check them, before
-    # the caps, so a domain error exits 64 whatever the sizes.
-    _lacunary_residues(args.n, args.power, () if args.i is None else (args.i,))
-    if args.n > LACUNARY_MAX_N:
-        raise BudgetError(f"n={args.n} exceeds the cap {LACUNARY_MAX_N}")
-    if args.power > LACUNARY_MAX_POWER:
-        raise BudgetError(f"power={args.power} exceeds the cap {LACUNARY_MAX_POWER}")
-    modulus = 1 << args.power
-    if args.i is None:
-        work = modulus * modulus // 2 * (2 * args.n + 2 * args.power + 32)
-        if work > LACUNARY_ALL_MAX_WORK:
-            raise BudgetError(f"all residues of n={args.n} mod {modulus} need work "
-                              f"{work}, over the cap {LACUNARY_ALL_MAX_WORK}")
-        residues = range(modulus)
-    else:
-        residues = (args.i,)
-    sums = []
-    for i, exact, trig in zip(residues, lacunary_sums(args.n, args.power, residues),
-                              lacunary_trig_sums(args.n, args.power, residues)):
-        if exact != trig:
-            raise InternalCheckError(
-                f"lacunary routes disagree at n={args.n}, i={i}: {exact} vs {trig}")
-        sums.append(str(exact))
-    # The routes agree, so one decimal serves both columns.
-    return CommandResult(
-        "lacunary", {"n": args.n, "power": args.power, "i": args.i},
-        {"i": residues, "exact": sums, "trig": sums},
-        lambda: [f"sum of C({args.n},j) over j = {i} (mod {modulus}): {exact}"
-                 for i, exact in zip(residues, sums)])
+def _handler(family: str, command: str) -> _Handler:
+    """The handler of command, in symbalance/commands/<family>.py."""
+    return _Handler(f"{__package__}.commands.{family}", "_cmd_" + command.replace("-", "_"))
 
 
 # The grammar of every subcommand: its handler, its help, its int
@@ -339,28 +127,33 @@ def _cmd_lacunary(args) -> CommandResult:
 # handler as the default of the conjectures module, which is imported only
 # when a scan runs.
 _GRAMMAR = {
-    "weight": (_cmd_weight, "weight of the elementary symmetric polynomial X(d,n)",
-               ("d", "n"), {}),
-    "balanced": (_cmd_balanced, "whether X(d,n) is balanced", ("d", "n"), {}),
-    "sac": (_cmd_sac, "whether X(d,n) satisfies the strict avalanche criterion",
-            ("d", "n"), {}),
-    "walsh": (_cmd_walsh, "Walsh spectrum of X(d,n) by input weight", ("d", "n"), {}),
-    "bisect": (_cmd_bisect, "signed bisections of the binomial row n", ("n",), {
-        "--enumerate": (bool, False, "list nontrivial solutions instead of counting"),
-        "--limit": (_limit, None, "cap on listed solutions")}),
-    "count": (_cmd_count, "census counts for symmetric functions over GF(p)",
+    "weight": (_handler("symfun", "weight"),
+               "weight of the elementary symmetric polynomial X(d,n)", ("d", "n"), {}),
+    "balanced": (_handler("symfun", "balanced"), "whether X(d,n) is balanced",
+                 ("d", "n"), {}),
+    "sac": (_handler("spectral", "sac"),
+            "whether X(d,n) satisfies the strict avalanche criterion", ("d", "n"), {}),
+    "walsh": (_handler("spectral", "walsh"), "Walsh spectrum of X(d,n) by input weight",
+              ("d", "n"), {}),
+    "bisect": (_handler("bisection", "bisect"), "signed bisections of the binomial row n",
+               ("n",), {
+                   "--enumerate": (bool, False, "list nontrivial solutions instead of counting"),
+                   "--limit": (_limit, None, "cap on listed solutions")}),
+    "count": (_handler("census", "count"), "census counts for symmetric functions over GF(p)",
               ("p", "n"), {}),
-    "lower-bound": (_cmd_lower_bound,
+    "lower-bound": (_handler("census", "lower-bound"),
                     "orbit-splitting lower bound on balanced symmetric functions",
                     ("p", "n"), {}),
-    "generate": (_cmd_generate, "construct distinct balanced symmetric functions",
-                 ("p", "n"), {
+    "generate": (_handler("census", "generate"),
+                 "construct distinct balanced symmetric functions", ("p", "n"), {
                      "--limit": (_limit, 10, "how many functions to emit (default 10)")}),
-    "scan-c1": (_cmd_scan_c1, "compare exact balancedness with the conjectured set", (), {
-        "--n-max": (int, None, None)}),
-    "scan-c2": (_cmd_scan_c2, "check weights against the strict quarter bound", (), {
-        "--n-max": (int, None, None)}),
-    "lacunary": (_cmd_lacunary,
+    "scan-c1": (_handler("conjectures", "scan-c1"),
+                "compare exact balancedness with the conjectured set", (), {
+                    "--n-max": (int, None, None)}),
+    "scan-c2": (_handler("conjectures", "scan-c2"),
+                "check weights against the strict quarter bound", (), {
+                    "--n-max": (int, None, None)}),
+    "lacunary": (_handler("exactnum", "lacunary"),
                  "binomial sums along residue classes mod 2^power, computed two ways",
                  ("n", "power"), {
                      "i": (int, None, "single residue to report (default: all)")}),
@@ -561,4 +354,7 @@ def console_main() -> None:
 
 
 if __name__ == "__main__":
+    # The command modules import this module by name, so python -m runs it
+    # under that name too, not a second copy of it.
+    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
     console_main()

@@ -8,7 +8,8 @@ range exactly and report the cells so callers can look for mismatches.
 Both scans step each row from the last (pascal_rows) and sum it over the
 prefix <= n of one checked Lucas walk per degree, built at the largest n
 (symfun._checked_walk), so a walk that strays from the Kummer mask raises
-InternalCheckError before any cell is made.
+InternalCheckError before any cell is made, and each row is checked once
+(symfun._check_row) before it is summed.
 
 The closed-form weights for degrees 2^t + 1 and 1 + 2^s + 2^t are short
 cosine sums instead of binomial rows.  Each is evaluated as a sum of the
@@ -95,6 +96,7 @@ def scan_conjecture2(n_max: int = C2_DEFAULT_N) -> list[BoundCell]:
     # Row by row, each stepped from the last; 63 is the first degree.  Each
     # degree's cells are appended in n order.
     for n, row in pascal_rows(2 * (63 - 1), n_max):
+        _check_row(row)
         bound = 1 << (n - 2)
         for d, walk, cells in zip(degrees, walks, by_degree):
             if n < 2 * (d - 1):

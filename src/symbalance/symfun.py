@@ -171,7 +171,7 @@ def _checked_walk(d: int, n: int) -> list[int]:
     their largest n and sum each row over its prefix."""
     walk = list(_dominating(d, n))
     if walk != list(compress(range(n + 1), _parity_mask(d, n))):
-        raise InternalCheckError(f"balance routes disagree at d={d}, n={n}")
+        raise InternalCheckError(f"dominance routes disagree at d={d}, n={n}")
     return walk
 
 
@@ -185,12 +185,12 @@ def _stepped_balance(d: int, n: int) -> tuple[int, bool]:
 
 
 def _check_row(row: tuple[int, ...]) -> None:
-    """Checks row = pascal_row(n) once, for scan_conjecture1, which sums
-    each row over the checked walks: the lower half row[:h + 1],
-    h = n // 2, must equal the mirrored upper half (pascal_row and
-    pascal_rows build both from the same int objects, so this costs almost
-    nothing there), and 2 sum(half), less the middle entry for even n, must
-    be 2^n.  These see entries that no weight reads.  A failed check raises
+    """Checks row = pascal_row(n) once, for the scans, which sum each row
+    over the checked walks: the lower half row[:h + 1], h = n // 2, must
+    equal the mirrored upper half (pascal_row and pascal_rows build both
+    from the same int objects, so this costs almost nothing there), and
+    2 sum(half), less the middle entry for even n, must be 2^n.  These see
+    entries that no weight reads.  A failed check raises
     InternalCheckError."""
     n = len(row) - 1
     h = n // 2

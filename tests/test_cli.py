@@ -8,6 +8,7 @@ the contract demands it.
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -928,29 +929,34 @@ def test_import_loads_no_submodule():
     assert done.returncode == 0, done.stderr
 
 
-# One well-formed call of each command, in each format, and the package
-# modules it runs besides cli and errors.
+# One well-formed call of each command, in each format, the command module
+# that holds its handler, and the package modules it runs besides cli and
+# errors.
 COMMAND_MODULES = [
-    (["weight", "1", "1", "--format", "json"], ["symfun"]),
-    (["balanced", "4", "100"], ["symfun"]),
-    (["sac", "3", "10", "--format", "csv"], ["spectral", "symfun"]),
-    (["walsh", "3", "10", "--format", "json"], ["exactnum", "spectral", "symfun"]),
-    (["bisect", "12", "--enumerate", "--format", "csv"],
+    (["weight", "1", "1", "--format", "json"], "symfun", ["symfun"]),
+    (["balanced", "4", "100"], "symfun", ["symfun"]),
+    (["sac", "3", "10", "--format", "csv"], "spectral", ["spectral", "symfun"]),
+    (["walsh", "3", "10", "--format", "json"], "spectral", ["exactnum", "spectral", "symfun"]),
+    (["bisect", "12", "--enumerate", "--format", "csv"], "bisection",
      ["bisection", "census", "exactnum", "symfun"]),
-    (["count", "3", "3"], ["census", "exactnum", "symfun"]),
-    (["lower-bound", "3", "4", "--format", "csv"], ["census", "exactnum", "symfun"]),
-    (["generate", "13", "2", "--limit", "2", "--format", "csv"],
+    (["count", "3", "3"], "census", ["census", "exactnum", "symfun"]),
+    (["lower-bound", "3", "4", "--format", "csv"], "census", ["census", "exactnum", "symfun"]),
+    (["generate", "13", "2", "--limit", "2", "--format", "csv"], "census",
      ["census", "exactnum", "symfun"]),
-    (["scan-c1", "--n-max", "20"], ["conjectures", "exactnum", "symfun"]),
-    (["scan-c2", "--n-max", "130", "--format", "csv"], ["conjectures", "exactnum", "symfun"]),
-    (["lacunary", "60", "3", "--format", "json"], ["exactnum"]),
+    (["scan-c1", "--n-max", "20"], "conjectures", ["conjectures", "exactnum", "symfun"]),
+    (["scan-c2", "--n-max", "130", "--format", "csv"], "conjectures",
+     ["conjectures", "exactnum", "symfun"]),
+    (["lacunary", "60", "3", "--format", "json"], "exactnum", ["exactnum"]),
 ]
 
 
-@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[a[0] for a, _ in COMMAND_MODULES])
-def test_each_command_loads_only_the_modules_it_runs(argv, modules):
-    # JSON and CSV are written without the json and csv modules.
+@pytest.mark.parametrize("argv, family, modules", COMMAND_MODULES,
+                         ids=[a[0] for a, _, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, family, modules):
+    # JSON and CSV are written without the json and csv modules, and no
+    # call loads the command module of another family.
     expected = sorted(["symbalance", "symbalance.cli", "symbalance.errors",
+                       "symbalance.commands", f"symbalance.commands.{family}",
                        *(f"symbalance.{module}" for module in modules)])
     done = run_fresh_interpreter([
         "import contextlib, io, sys",
@@ -963,6 +969,17 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
         "    sys.exit(f'exit code {code}, loaded {loaded}')",
     ])
     assert done.returncode == 0, done.stderr
+
+
+def test_each_handler_lives_in_its_command_module():
+    assert [name for name in vars(cli) if name.startswith("_cmd_")] == []
+    families = {argv[0]: family for argv, family, _ in COMMAND_MODULES}
+    assert sorted(families) == sorted(cli._GRAMMAR)
+    for command, (handler, *_) in cli._GRAMMAR.items():
+        module = importlib.import_module(f"symbalance.commands.{families[command]}")
+        function = getattr(module, "_cmd_" + command.replace("-", "_"))
+        assert function.__module__ == module.__name__
+        assert (handler.module, handler.name) == (module.__name__, function.__name__)
 
 
 def run_module(*argv):

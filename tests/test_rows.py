@@ -74,7 +74,7 @@ def test_balance_holds_no_row():
 ], ids=["mirror", "row-sum"])
 def test_row_balance_checks_the_entries_the_weight_skips(n, raised, check):
     # No raised j dominates d = 4, so the weight never reads row[j]: only
-    # the row check, which scan_conjecture1 runs once per row, sees the change.
+    # the row check, which the scans run once per row, sees the change.
     d = 4
     row = list(exactnum.pascal_row(n))
     walk = symfun._checked_walk(d, n)
@@ -90,11 +90,15 @@ def test_row_balance_checks_the_entries_the_weight_skips(n, raised, check):
     assert str(caught.value) == f"{check} at n={n}"
 
 
-@pytest.mark.parametrize("raised, check", [
-    ([3], "row is not symmetric"),
-    ([1, 59], "row does not sum to 2^n"),
-], ids=["mirror", "row-sum"])
-def test_scan_checks_each_row_once(monkeypatch, raised, check):
+@pytest.mark.parametrize("scan, command, n_max, first, n, raised, check", [
+    (scan_conjecture1, "scan-c1", 64, 2, 60, [3], "row is not symmetric"),
+    (scan_conjecture1, "scan-c1", 64, 2, 60, [1, 59], "row does not sum to 2^n"),
+    # 127 dominates 63, so without the row check one cell of 90 comes out
+    # wrong and no error is raised.
+    (scan_conjecture2, "scan-c2", 200, 124, 150, [23, 127], "row does not sum to 2^n"),
+], ids=["mirror", "row-sum", "scan-c2-row-sum"])
+def test_scan_checks_each_row_once(monkeypatch, capsys, scan, command, n_max, first, n,
+                                   raised, check):
     rows = conjectures.pascal_rows
     checked = Counter()
 
@@ -103,22 +107,24 @@ def test_scan_checks_each_row_once(monkeypatch, raised, check):
         return symfun._check_row(row)
 
     monkeypatch.setattr(conjectures, "_check_row", counting)
-    scan_conjecture1(64)
-    assert checked == Counter(range(2, 65))
+    scan(n_max)
+    assert checked == Counter(range(first, n_max + 1))
 
     def raising(lo, hi):
-        for n, row in rows(lo, hi):
-            if n == 60:
+        for m, row in rows(lo, hi):
+            if m == n:
                 row = list(row)
                 for j in raised:
                     row[j] += 2
                 row = tuple(row)
-            yield n, row
+            yield m, row
 
     monkeypatch.setattr(conjectures, "pascal_rows", raising)
     with pytest.raises(InternalCheckError) as caught:
-        scan_conjecture1(64)
-    assert str(caught.value) == f"{check} at n=60"
+        scan(n_max)
+    assert str(caught.value) == f"{check} at n={n}"
+    assert main([command, "--n-max", str(n_max), "--format", "json"]) == 70
+    assert capsys.readouterr() == ("", f"internal check failed: {check} at n={n}\n")
 
 
 def _flip_last_parity_byte(monkeypatch):
@@ -149,10 +155,10 @@ def test_scans_check_the_walk_against_the_mask(monkeypatch, capsys, mutate):
     for scan, n_max, d in ((scan_conjecture1, 64, 2), (scan_conjecture2, 512, 63)):
         with pytest.raises(InternalCheckError) as caught:
             scan(n_max)
-        assert str(caught.value) == f"balance routes disagree at d={d}, n={n_max}"
+        assert str(caught.value) == f"dominance routes disagree at d={d}, n={n_max}"
     assert main(["scan-c2", "--n-max", "512"]) == 70
     out, err = capsys.readouterr()
-    assert out == "" and err == "internal check failed: balance routes disagree at d=63, n=512\n"
+    assert out == "" and err == "internal check failed: dominance routes disagree at d=63, n=512\n"
 
 
 def test_class_enumeration_keeps_no_memory():
@@ -169,8 +175,9 @@ def test_class_enumeration_keeps_no_memory():
 
 def test_package_holds_no_cache():
     # A new cache needs a benchmark number that shows it pays off.
-    modules = [symbalance] + [importlib.import_module(f"symbalance.{info.name}")
-                              for info in pkgutil.iter_modules(symbalance.__path__)]
+    modules = [symbalance] + [importlib.import_module(info.name)
+                              for info in pkgutil.walk_packages(symbalance.__path__,
+                                                                "symbalance.")]
     cached = set()
     for module in modules:
         for obj in vars(module).values():

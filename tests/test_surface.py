@@ -9,6 +9,7 @@ to the test oracles.
 """
 
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -58,12 +59,24 @@ def test_exports_are_frozen():
 
 
 def test_deleted_names_are_gone():
-    modules = [symbalance] + [importlib.import_module(f"symbalance.{info.name}")
-                              for info in pkgutil.iter_modules(symbalance.__path__)]
-    assert len(modules) == 9
+    modules = [symbalance] + [importlib.import_module(info.name)
+                              for info in pkgutil.walk_packages(symbalance.__path__,
+                                                                "symbalance.")]
+    # The package, its 8 modules, and commands with its 6 command modules.
+    assert len(modules) == 16
     for module in modules:
         assert [name for name in DELETED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(WeightFunction, "to_symmetric")
+
+
+def test_packaging_finds_the_command_modules():
+    # An installed console script reaches the handlers only when the
+    # commands subpackage is packaged with the rest (pyproject.toml finds
+    # the packages under src).
+    from setuptools import find_packages
+
+    src = os.path.dirname(os.path.dirname(symbalance.__file__))
+    assert sorted(find_packages(src)) == ["symbalance", "symbalance.commands"]
 
 
 # One value of each public record, its fields in order, and its repr; and

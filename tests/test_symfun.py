@@ -192,7 +192,7 @@ def test_stepped_balance_catches_a_flipped_parity_byte(monkeypatch, capsys):
         return bytes(odd)
 
     monkeypatch.setattr(symfun, "_parity_mask", flipped)
-    _assert_caught(capsys, 4, 4095, "balance routes disagree")
+    _assert_caught(capsys, 4, 4095, "dominance routes disagree")
 
 
 def test_stepped_balance_catches_two_flipped_parity_bytes(monkeypatch, capsys):
@@ -208,14 +208,14 @@ def test_stepped_balance_catches_two_flipped_parity_bytes(monkeypatch, capsys):
         return bytes(odd)
 
     monkeypatch.setattr(symfun, "_parity_mask", flipped)
-    _assert_caught(capsys, 4, 4095, "balance routes disagree")
+    _assert_caught(capsys, 4, 4095, "dominance routes disagree")
 
 
 def test_stepped_balance_catches_a_dropped_dominating_index(monkeypatch, capsys):
     original = symfun._dominating
     monkeypatch.setattr(symfun, "_dominating",
                         lambda d, n: (i for i in original(d, n) if i != 2004))
-    _assert_caught(capsys, 4, 4095, "balance routes disagree")
+    _assert_caught(capsys, 4, 4095, "dominance routes disagree")
 
 
 def test_stepped_balance_catches_a_jump_off_by_two(monkeypatch, capsys):
