@@ -16,14 +16,17 @@ loads only for help, usage errors and the other spellings it accepts, and
 answers them as it always has.
 
 Every call runs this module: the grammar, the parse, the exit codes and
-caps, and the writers.  The handlers live in symbalance.commands, one
-module per engine module they front, and _GRAMMAR names each command's
-module, imported on its first call.  So a call compiles errors, this
-module, the commands package and its own command module, and no code of
-another command.  Each handler imports the engine modules it runs when
-it runs: weight and balanced load symfun alone, sac adds spectral and
-walsh exactnum too, count, lower-bound and generate load census (bisect
-adds bisection), the scans load conjectures, and lacunary only exactnum.
+the writers.  The handlers live in symbalance.commands, one module per
+engine module they front, with the caps they enforce, and _GRAMMAR names
+each command's module, which _handler imports on its first call, before
+the clock of runtime_ms starts.  The dependency runs one way: no command
+module imports this one.  So a call compiles errors, this module, the
+commands package and its own command module, and no code of another
+command.  Each command module imports the engine modules its commands
+run: weight and balanced load symfun alone, sac and walsh add spectral
+(walsh also exactnum, when it builds a row), count, lower-bound and
+generate load census (bisect adds bisection), the scans load
+conjectures, and lacunary only exactnum.
 JSON and CSV are written here a column at a time (see _encode), not by
 the json and csv modules, for just the ints, bools and strs of digits,
 signs and commas that the commands print, so no call loads json or csv.
@@ -33,45 +36,20 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import namedtuple
 from importlib import import_module
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, InternalCheckError, OrbitSplitError
+
+if TYPE_CHECKING:
+    from .commands import CommandResult
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
 EXIT_USAGE = 64
 EXIT_BUDGET = 65
 EXIT_INTERNAL = 70
-
-# A spectrum is n^2 additions on ints of up to n bits: at n = 1024 `walsh`
-# took 0.29-0.42 s over d in 1..1024 and printed at most 223 KB of JSON
-# (shared 2-core Xeon, CPython 3.11).
-WALSH_MAX_N = 1024
-COUNT_MAX_INPUTS = 1 << 20
-GENERATE_MAX_CLASSES = 4096
-LACUNARY_MAX_N = 4096
-LACUNARY_MAX_POWER = 12
-# Work of an all-residue lacunary call evaluated at the full modulus,
-# M^2/2 * (2n + 2 power + 32) for M = 2^power: M/2 + 1 angle sums of at
-# most M/2 products each, on ints of about 2n + 2 power + 32 bits.  The
-# closed form folds each residue to a modulus 2^r <= M, which costs no
-# more, so this bounds the folded work.  At the cap (exactly lacunary
-# 2358 10, 569 11 or 121 12) a call took 0.78-0.80, 0.26-0.27 and
-# 0.05-0.07 s in turn (best and worst of 3 in one process, csv output) on
-# a shared 2-core Xeon with CPython 3.11; 2358 10 does not fold, since
-# n > 2^power.
-LACUNARY_ALL_MAX_WORK = 149 << 24
-# The orbit-splitting bound is refused while its log2, estimated before
-# any factorial is formed, exceeds this.  The orbits are read once.  At
-# the cap, lower-bound 2 262143 (exactly 2^131072, 39,457 digits) took
-# 0.38-0.59 s as a process and 3 491 0.14-0.20 s; a refusal reads at most
-# about 2^17 orbits, so lower-bound 2 1000000001 exits 65 in 0.34-0.47 s
-# and 13 10 in 0.1 s (best and worst of 3, csv output, shared 2-core
-# Xeon, CPython 3.11).
-LOWER_BOUND_MAX_BITS = 1 << 17
 
 
 def _limit(text: str) -> int:
@@ -89,76 +67,45 @@ def _limit(text: str) -> int:
     return value
 
 
-class CommandResult(namedtuple("CommandResult", "command parameters table lines exit_code",
-                               defaults=(EXIT_OK,))):
-    """An answer as a table for JSON and CSV, and a function that builds its
-    text lines, called only when text is printed.  The table maps each
-    column name, in CSV order, to the column's values (ints, bools or
-    strs), so no row is a dict of its own.  Each big integer is turned into
-    decimal once, and the lines reuse that string.  A lines function keeps
-    only what it prints, so computed witnesses are freed before the output
-    is written.  JSON and CSV read each column once, whole, and text reads
-    none, so a scan passes lazy columns over its cells."""
-
-    __slots__ = ()
-
-
-class _Handler(namedtuple("_Handler", "module name")):
-    """The handler `name` of the command module `module`, a dotted name,
-    imported on its first call and read from sys.modules after that."""
-
-    __slots__ = ()
-
-    def __call__(self, args) -> CommandResult:
-        module = sys.modules.get(self.module) or import_module(self.module)
-        return getattr(module, self.name)(args)
-
-
-def _handler(family: str, command: str) -> _Handler:
-    """The handler of command, in symbalance/commands/<family>.py."""
-    return _Handler(f"{__package__}.commands.{family}", "_cmd_" + command.replace("-", "_"))
-
-
-# The grammar of every subcommand: its handler, its help, its int
-# positionals, and its arguments that have a default, as name -> (kind,
-# default, help).  A name without dashes is an int positional that may be
-# left out; a kind of bool is a flag that takes no value.  Each subcommand
-# also takes --format.  A scan's --n-max defaults to None, read by its
-# handler as the default of the conjectures module, which is imported only
-# when a scan runs.
+# The grammar of every subcommand: the family of its command module, its
+# help, its int positionals, and its arguments that have a default, as
+# name -> (kind, default, help).  A name without dashes is an int
+# positional that may be left out; a kind of bool is a flag that takes no
+# value.  Each subcommand also takes --format.  A scan's --n-max defaults
+# to None, read by its handler as the default of the conjectures module,
+# which is imported only when a scan runs.
 _GRAMMAR = {
-    "weight": (_handler("symfun", "weight"),
-               "weight of the elementary symmetric polynomial X(d,n)", ("d", "n"), {}),
-    "balanced": (_handler("symfun", "balanced"), "whether X(d,n) is balanced",
-                 ("d", "n"), {}),
-    "sac": (_handler("spectral", "sac"),
-            "whether X(d,n) satisfies the strict avalanche criterion", ("d", "n"), {}),
-    "walsh": (_handler("spectral", "walsh"), "Walsh spectrum of X(d,n) by input weight",
-              ("d", "n"), {}),
-    "bisect": (_handler("bisection", "bisect"), "signed bisections of the binomial row n",
-               ("n",), {
-                   "--enumerate": (bool, False, "list nontrivial solutions instead of counting"),
-                   "--limit": (_limit, None, "cap on listed solutions")}),
-    "count": (_handler("census", "count"), "census counts for symmetric functions over GF(p)",
-              ("p", "n"), {}),
-    "lower-bound": (_handler("census", "lower-bound"),
-                    "orbit-splitting lower bound on balanced symmetric functions",
+    "weight": ("symfun", "weight of the elementary symmetric polynomial X(d,n)",
+               ("d", "n"), {}),
+    "balanced": ("symfun", "whether X(d,n) is balanced", ("d", "n"), {}),
+    "sac": ("spectral", "whether X(d,n) satisfies the strict avalanche criterion",
+            ("d", "n"), {}),
+    "walsh": ("spectral", "Walsh spectrum of X(d,n) by input weight", ("d", "n"), {}),
+    "bisect": ("bisection", "signed bisections of the binomial row n", ("n",), {
+        "--enumerate": (bool, False, "list nontrivial solutions instead of counting"),
+        "--limit": (_limit, None, "cap on listed solutions")}),
+    "count": ("census", "census counts for symmetric functions over GF(p)", ("p", "n"), {}),
+    "lower-bound": ("census", "orbit-splitting lower bound on balanced symmetric functions",
                     ("p", "n"), {}),
-    "generate": (_handler("census", "generate"),
-                 "construct distinct balanced symmetric functions", ("p", "n"), {
-                     "--limit": (_limit, 10, "how many functions to emit (default 10)")}),
-    "scan-c1": (_handler("conjectures", "scan-c1"),
-                "compare exact balancedness with the conjectured set", (), {
-                    "--n-max": (int, None, None)}),
-    "scan-c2": (_handler("conjectures", "scan-c2"),
-                "check weights against the strict quarter bound", (), {
-                    "--n-max": (int, None, None)}),
-    "lacunary": (_handler("exactnum", "lacunary"),
-                 "binomial sums along residue classes mod 2^power, computed two ways",
+    "generate": ("census", "construct distinct balanced symmetric functions", ("p", "n"), {
+        "--limit": (_limit, 10, "how many functions to emit (default 10)")}),
+    "scan-c1": ("conjectures", "compare exact balancedness with the conjectured set", (), {
+        "--n-max": (int, None, None)}),
+    "scan-c2": ("conjectures", "check weights against the strict quarter bound", (), {
+        "--n-max": (int, None, None)}),
+    "lacunary": ("exactnum", "binomial sums along residue classes mod 2^power, computed two ways",
                  ("n", "power"), {
                      "i": (int, None, "single residue to report (default: all)")}),
 }
 _FORMATS = ("text", "json", "csv")
+
+
+def _handler(command: str):
+    """The handler of command, _cmd_<command> of its command module
+    symbalance/commands/<family>.py, which is imported on first use."""
+    name = f"{__package__}.commands.{_GRAMMAR[command][0]}"
+    module = sys.modules.get(name) or import_module(name)
+    return getattr(module, "_cmd_" + command.replace("-", "_"))
 
 
 def _value(kind, text: str):
@@ -332,9 +279,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _answer(args) -> int:
+    # The command module loads first, so runtime_ms counts no import.
+    handler = _handler(args.command)
     started = time.perf_counter()
     try:
-        result = _GRAMMAR[args.command][0](args)
+        result = handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -346,7 +295,7 @@ def _answer(args) -> int:
         return EXIT_INTERNAL
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     _emit(result, args.format, elapsed_ms)
-    return result.exit_code
+    return EXIT_COUNTEREXAMPLE if result.counterexample else EXIT_OK
 
 
 def console_main() -> None:
@@ -354,7 +303,4 @@ def console_main() -> None:
 
 
 if __name__ == "__main__":
-    # The command modules import this module by name, so python -m runs it
-    # under that name too, not a second copy of it.
-    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
     console_main()

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from ..cli import CommandResult
+from .. import bisection
+from . import CommandResult
 
 
 def _cmd_bisect(args) -> CommandResult:
-    from ..bisection import find_all_solutions
-
     if args.enumerate:
-        report = find_all_solutions(args.n, enumerate_witnesses=True,
-                                    witness_limit=args.limit)
+        report = bisection.find_all_solutions(args.n, enumerate_witnesses=True,
+                                              witness_limit=args.limit)
         deltas = ["".join("+" if x > 0 else "-" for x in sv.delta) for sv in report.witnesses]
         # The lines keep the counts, not the witnesses.
         counts = report.total, report.trivial, report.nontrivial
@@ -18,7 +17,7 @@ def _cmd_bisect(args) -> CommandResult:
             "bisect", {"n": args.n, "limit": args.limit},
             {"index": range(len(deltas)), "delta": deltas},
             lambda: [_bisect_summary(args.n, *counts), *deltas])
-    report = find_all_solutions(args.n)
+    report = bisection.find_all_solutions(args.n)
     total, trivial, nontrivial = map(str, (report.total, report.trivial, report.nontrivial))
     return CommandResult(
         "bisect", {"n": args.n, "limit": None},

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
-from ..cli import COUNT_MAX_INPUTS, GENERATE_MAX_CLASSES, LOWER_BOUND_MAX_BITS, CommandResult
+from .. import census, exactnum
 from ..errors import BudgetError
+from . import CommandResult
+
+COUNT_MAX_INPUTS = 1 << 20
+GENERATE_MAX_CLASSES = 4096
+# The orbit-splitting bound is refused while its log2, estimated before
+# any factorial is formed, exceeds this.  The orbits are read once.  At
+# the cap, lower-bound 2 262143 (exactly 2^131072, 39,457 digits) took
+# 0.38-0.59 s as a process and 3 491 0.14-0.20 s; a refusal reads at most
+# about 2^17 orbits, so lower-bound 2 1000000001 exits 65 in 0.34-0.47 s
+# and 13 10 in 0.1 s (best and worst of 3, csv output, shared 2-core
+# Xeon, CPython 3.11).
+LOWER_BOUND_MAX_BITS = 1 << 17
 
 
 def _over_count_cap(p: int, n: int) -> bool:
@@ -13,13 +25,19 @@ def _over_count_cap(p: int, n: int) -> bool:
     return n * (p.bit_length() - 1) >= 21 or p ** n > COUNT_MAX_INPUTS
 
 
-def _cmd_count(args) -> CommandResult:
-    from ..census import (_check_args, brute_count_balanced_symmetric, count_balanced_all,
-                          count_symmetric)
+def _over_class_cap(p: int, n: int) -> bool:
+    """C(p + n - 1, n) > GENERATE_MAX_CLASSES for p >= 2 and n >= 0,
+    decided without forming a large binomial: C(m, n) >= m for
+    1 <= n <= m - 1, so m = p + n - 1 past the cap is over it, and
+    C(m, n) is formed only for m within the cap or n = 0."""
+    m = p + n - 1
+    return (n > 0 and m > GENERATE_MAX_CLASSES) or exactnum.binom(m, n) > GENERATE_MAX_CLASSES
 
+
+def _cmd_count(args) -> CommandResult:
     # p and n are checked first, as generate checks them: the cap reads
     # p^n only for a prime p and n >= 0.
-    _check_args(args.p, args.n)
+    census._check_args(args.p, args.n)
     if _over_count_cap(args.p, args.n):
         # The decimal of p^n alone takes seconds at n = 10^6.
         inputs = (args.p ** args.n if args.n * args.p.bit_length() <= 14000
@@ -28,9 +46,9 @@ def _cmd_count(args) -> CommandResult:
     # The census DP checks p, n and its budget before any work, with the
     # same messages as count_symmetric, so it runs first: at p = 65537 the
     # decimal of p^p alone takes seconds.
-    among_symmetric = str(brute_count_balanced_symmetric(args.p, args.n))
-    symmetric = str(count_symmetric(args.p, args.n))
-    over_all = str(count_balanced_all(args.p, args.n))
+    among_symmetric = str(census.brute_count_balanced_symmetric(args.p, args.n))
+    symmetric = str(census.count_symmetric(args.p, args.n))
+    over_all = str(census.count_balanced_all(args.p, args.n))
     return CommandResult(
         "count", {"p": args.p, "n": args.n},
         {"p": [args.p], "n": [args.n], "symmetric": [symmetric],
@@ -41,12 +59,11 @@ def _cmd_count(args) -> CommandResult:
 
 
 def _cmd_lower_bound(args) -> CommandResult:
-    from ..census import _split_count, _split_orbit_sizes
-
     # One walk reads the orbits, refusing a pair whose orbits do not split
     # (exit 64) or whose bound is past the cap (exit 65) before any
     # factorial is formed.
-    bound = str(_split_count(args.p, _split_orbit_sizes(args.p, args.n, LOWER_BOUND_MAX_BITS)))
+    sizes = census._split_orbit_sizes(args.p, args.n, LOWER_BOUND_MAX_BITS)
+    bound = str(census._split_count(args.p, sizes))
     return CommandResult(
         "lower-bound", {"p": args.p, "n": args.n},
         {"p": [args.p], "n": [args.n], "bound": [bound]},
@@ -55,19 +72,16 @@ def _cmd_lower_bound(args) -> CommandResult:
 
 
 def _cmd_generate(args) -> CommandResult:
-    from ..census import _check_args, generate_balanced
-    from ..exactnum import binom
-
     # p and n are checked first, as the census checks them: the class cap
-    # C(p + n - 1, n) is formed only for a prime p and n >= 0.
-    _check_args(args.p, args.n)
-    if binom(args.p + args.n - 1, args.n) > GENERATE_MAX_CLASSES:
+    # reads C(p + n - 1, n) only for a prime p and n >= 0.
+    census._check_args(args.p, args.n)
+    if _over_class_cap(args.p, args.n):
         raise BudgetError(
             f"p={args.p}, n={args.n} has more than {GENERATE_MAX_CLASSES} classes")
     # Values of 10 and up take two digits, so they need a separator.
     sep = "," if args.p > 10 else ""
     values = [sep.join(map(str, fn.values))
-              for fn in generate_balanced(args.p, args.n, limit=args.limit)]
+              for fn in census.generate_balanced(args.p, args.n, limit=args.limit)]
     return CommandResult(
         "generate", {"p": args.p, "n": args.n, "limit": args.limit},
         {"index": range(len(values)), "values": values},

@@ -5,7 +5,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator
 
-from ..cli import EXIT_COUNTEREXAMPLE, EXIT_OK, CommandResult
+from .. import conjectures
+from . import CommandResult
 
 
 def _cell_columns(cells: list, fields: tuple[str, ...]) -> dict:
@@ -26,12 +27,10 @@ def _bound_decimals(cells: list) -> Iterator[str]:
 
 
 def _cmd_scan_c1(args) -> CommandResult:
-    from ..conjectures import C1_MAX_N, ScanCell, conjecture1_mismatches, scan_conjecture1
-
-    n_max = C1_MAX_N if args.n_max is None else args.n_max
-    cells = scan_conjecture1(n_max)
-    bad = conjecture1_mismatches(cells)
-    table = _cell_columns(cells, ScanCell._fields)
+    n_max = conjectures.C1_MAX_N if args.n_max is None else args.n_max
+    cells = conjectures.scan_conjecture1(n_max)
+    bad = conjectures.conjecture1_mismatches(cells)
+    table = _cell_columns(cells, conjectures.ScanCell._fields)
     table["weight"] = map(str, table["weight"])
 
     def lines():
@@ -40,17 +39,14 @@ def _cmd_scan_c1(args) -> CommandResult:
                 f"scanned {len(cells)} cells with 2 <= d <= n <= {n_max}; "
                 f"mismatches: {len(bad)}"]
 
-    return CommandResult("scan-c1", {"n_max": n_max}, table, lines,
-                         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
+    return CommandResult("scan-c1", {"n_max": n_max}, table, lines, bool(bad))
 
 
 def _cmd_scan_c2(args) -> CommandResult:
-    from ..conjectures import BoundCell, C2_DEFAULT_N, conjecture2_violations, scan_conjecture2
-
-    n_max = C2_DEFAULT_N if args.n_max is None else args.n_max
-    cells = scan_conjecture2(n_max)
-    bad = conjecture2_violations(cells)
-    table = _cell_columns(cells, BoundCell._fields)
+    n_max = conjectures.C2_DEFAULT_N if args.n_max is None else args.n_max
+    cells = conjectures.scan_conjecture2(n_max)
+    bad = conjectures.conjecture2_violations(cells)
+    table = _cell_columns(cells, conjectures.BoundCell._fields)
     table["weight"] = map(str, table["weight"])
     table["bound"] = _bound_decimals(cells)
 
@@ -60,5 +56,4 @@ def _cmd_scan_c2(args) -> CommandResult:
                 f"scanned {len(cells)} cells with wt(d) >= 6, "
                 f"2(d-1) <= n <= {n_max}; violations: {len(bad)}"]
 
-    return CommandResult("scan-c2", {"n_max": n_max}, table, lines,
-                         EXIT_COUNTEREXAMPLE if bad else EXIT_OK)
+    return CommandResult("scan-c2", {"n_max": n_max}, table, lines, bool(bad))

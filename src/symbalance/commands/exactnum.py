@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
-from ..cli import (LACUNARY_ALL_MAX_WORK, LACUNARY_MAX_N, LACUNARY_MAX_POWER,
-                   CommandResult)
+from .. import exactnum
 from ..errors import BudgetError, InternalCheckError
+from . import CommandResult
+
+LACUNARY_MAX_N = 4096
+LACUNARY_MAX_POWER = 12
+# Work of an all-residue lacunary call evaluated at the full modulus,
+# M^2/2 * (2n + 2 power + 32) for M = 2^power: M/2 + 1 angle sums of at
+# most M/2 products each, on ints of about 2n + 2 power + 32 bits.  The
+# closed form folds each residue to a modulus 2^r <= M, which costs no
+# more, so this bounds the folded work.  At the cap (exactly lacunary
+# 2358 10, 569 11 or 121 12) a call took 0.78-0.80, 0.26-0.27 and
+# 0.05-0.07 s in turn (best and worst of 3 in one process, csv output) on
+# a shared 2-core Xeon with CPython 3.11; 2358 10 does not fold, since
+# n > 2^power.
+LACUNARY_ALL_MAX_WORK = 149 << 24
 
 
 def _cmd_lacunary(args) -> CommandResult:
-    from ..exactnum import _lacunary_residues, lacunary_sums, lacunary_trig_sums
-
     # n, power and the residue are checked as the routes check them, before
     # the caps, so a domain error exits 64 whatever the sizes.
-    _lacunary_residues(args.n, args.power, () if args.i is None else (args.i,))
+    exactnum._lacunary_residues(args.n, args.power, () if args.i is None else (args.i,))
     if args.n > LACUNARY_MAX_N:
         raise BudgetError(f"n={args.n} exceeds the cap {LACUNARY_MAX_N}")
     if args.power > LACUNARY_MAX_POWER:
@@ -27,8 +38,8 @@ def _cmd_lacunary(args) -> CommandResult:
     else:
         residues = (args.i,)
     sums = []
-    for i, exact, trig in zip(residues, lacunary_sums(args.n, args.power, residues),
-                              lacunary_trig_sums(args.n, args.power, residues)):
+    for i, exact, trig in zip(residues, exactnum.lacunary_sums(args.n, args.power, residues),
+                              exactnum.lacunary_trig_sums(args.n, args.power, residues)):
         if exact != trig:
             raise InternalCheckError(
                 f"lacunary routes disagree at n={args.n}, i={i}: {exact} vs {trig}")

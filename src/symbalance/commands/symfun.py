@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from ..cli import _BOOLS, CommandResult
+from .. import symfun
+from . import CommandResult
 
 
 def _cmd_weight(args) -> CommandResult:
-    from ..symfun import weight_elem
-
-    weight = str(weight_elem(args.d, args.n))
+    weight = str(symfun.weight_elem(args.d, args.n))
     return CommandResult(
         "weight", {"d": args.d, "n": args.n},
         {"d": [args.d], "n": [args.n], "weight": [weight]},
@@ -16,12 +15,10 @@ def _cmd_weight(args) -> CommandResult:
 
 
 def _cmd_balanced(args) -> CommandResult:
-    from ..symfun import _stepped_balance, check_degree
-
-    check_degree(args.d, args.n)
-    weight, balanced = _stepped_balance(args.d, args.n)
+    symfun.check_degree(args.d, args.n)
+    weight, balanced = symfun._stepped_balance(args.d, args.n)
     weight = str(weight)
-    verdict = _BOOLS[balanced]
+    verdict = "true" if balanced else "false"
     return CommandResult(
         "balanced", {"d": args.d, "n": args.n},
         {"d": [args.d], "n": [args.n], "weight": [weight], "balanced": [balanced]},

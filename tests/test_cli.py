@@ -6,9 +6,11 @@ against frozen expectations; CSV output is checked byte-for-byte where
 the contract demands it.
 """
 
+import ast
 import contextlib
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -27,10 +29,14 @@ import oracles
 import symbalance.bisection as bisection
 import symbalance.census as census
 import symbalance.cli as cli
+import symbalance.commands as commands
 import symbalance.conjectures as conjectures
 import symbalance.exactnum as exactnum
 from symbalance.census import lower_bound_balanced
 from symbalance.cli import main
+from symbalance.commands.census import LOWER_BOUND_MAX_BITS, _over_class_cap
+from symbalance.commands.exactnum import LACUNARY_ALL_MAX_WORK
+from symbalance.commands.spectral import WALSH_MAX_N
 from symbalance.conjectures import BoundCell, ScanCell
 
 
@@ -386,7 +392,7 @@ ONE_CALL_EACH = [
 
 @pytest.mark.parametrize("argv", ONE_CALL_EACH)
 def test_csv_matches_csv_writer(capsys, argv):
-    expected = csv_writer_output(cli._GRAMMAR[argv[0]][0](cli._parse(argv)))
+    expected = csv_writer_output(cli._handler(argv[0])(cli._parse(argv)))
     code, out, err = run(capsys, argv + ["--format", "csv"])
     assert (code, out, err) == (0, expected, "")
     if argv[:2] == ["generate", "13"]:
@@ -414,9 +420,9 @@ def test_csv_quotes_commas_and_quotes_as_csv_writer_does(capsys):
     for rows in ROW_COUNTS:
         table, listed = with_lazy_columns(
             {name: [value, *more[name] * rows][:rows] for name, value in first.items()}, rows)
-        cli._emit(cli.CommandResult("x", {}, table, lambda: []), "csv", 0)
+        cli._emit(commands.CommandResult("x", {}, table, lambda: []), "csv", 0)
         out = capsys.readouterr().out
-        assert out == csv_writer_output(cli.CommandResult("x", {}, listed, lambda: []))
+        assert out == csv_writer_output(commands.CommandResult("x", {}, listed, lambda: []))
         if rows:
             assert out.splitlines()[1] == '"1,2",true,-5,-3,+-+,0,0'
 
@@ -435,7 +441,7 @@ def json_dumps_output(result, elapsed_ms):
 
 @pytest.mark.parametrize("argv", ONE_CALL_EACH)
 def test_json_matches_json_dumps(capsys, argv):
-    handler, args = cli._GRAMMAR[argv[0]][0], cli._parse(argv)
+    handler, args = cli._handler(argv[0]), cli._parse(argv)
     expected = json_dumps_output(handler(args), 0)
     cli._emit(handler(args), "json", 0)
     assert capsys.readouterr().out == expected
@@ -454,8 +460,8 @@ def test_json_escapes_strings_as_json_dumps_does(capsys, rows):
              "delta": ["+-"[i % 2] * (i + 1) for i in range(rows)]}
     parameters = {"n": -3, "limit": None, "p": 10 ** 30}
     table, listed = with_lazy_columns(table, rows)
-    cli._emit(cli.CommandResult("walsh", parameters, table, lambda: []), "json", 7)
-    expected = json_dumps_output(cli.CommandResult("walsh", parameters, listed, lambda: []), 7)
+    cli._emit(commands.CommandResult("walsh", parameters, table, lambda: []), "json", 7)
+    expected = json_dumps_output(commands.CommandResult("walsh", parameters, listed, lambda: []), 7)
     assert capsys.readouterr().out == expected
 
 
@@ -472,7 +478,7 @@ def test_tables_hold_only_what_the_writers_encode():
     # commas, and each parameter is an int or None.
     seen = Counter()
     for argv in PREMISE_CALLS:
-        result = cli._GRAMMAR[argv[0]][0](cli._parse(argv))
+        result = cli._handler(argv[0])(cli._parse(argv))
         names = [result.command, *result.table, *result.parameters]
         assert all(re.fullmatch(r"[a-z][a-z0-9_-]*", name) for name in names), argv
         for value in result.parameters.values():
@@ -579,7 +585,7 @@ def test_orbit_split_refusal_walks_no_partitions(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["scan-c1", "--n-max", "100"],
-    ["walsh", "2", str(cli.WALSH_MAX_N + 1)],
+    ["walsh", "2", str(WALSH_MAX_N + 1)],
     ["count", "2", "21"],
     ["bisect", "33"],
     ["lacunary", "5000", "2"],
@@ -592,9 +598,9 @@ def test_budget_exhaustion(capsys, argv):
 
 
 def test_walsh_answers_at_the_cap(capsys):
-    code, out, _ = run(capsys, ["walsh", "2", str(cli.WALSH_MAX_N)])
+    code, out, _ = run(capsys, ["walsh", "2", str(WALSH_MAX_N)])
     assert code == 0
-    assert len(out.splitlines()) == cli.WALSH_MAX_N + 1
+    assert len(out.splitlines()) == WALSH_MAX_N + 1
 
 
 def test_route_disagreement_maps_to_internal(monkeypatch, capsys):
@@ -705,6 +711,20 @@ def test_count_refuses_a_large_n_before_forming_p_to_the_n(capsys):
     assert run(capsys, ["count", "-2", "3000001"]) == (64, "", "error: p=-2 is not prime\n")
 
 
+def test_generate_refuses_a_large_class_count_before_forming_it(capsys):
+    # C(2000002, 1000000) alone takes over half a minute to form.
+    started = time.perf_counter()
+    result = run(capsys, ["generate", "1000003", "1000000"])
+    assert time.perf_counter() - started < 1
+    assert result == (65, "", "error: p=1000003, n=1000000 has more than 4096 classes\n")
+
+
+def test_generate_class_cap_is_on_the_class_count():
+    pairs = [(p, n) for p in range(98) if exactnum.is_prime(p) for n in range(121)]
+    for p, n in pairs + [(2, 4095), (2, 4096), (4093, 1), (4099, 1)]:
+        assert _over_class_cap(p, n) == (math.comb(p + n - 1, n) > 4096), (p, n)
+
+
 # (2^31 - 1)(2^61 - 1): past the proven range of the strong-base test,
 # where trial division would run for minutes.
 PAST_PRIMALITY_RANGE = ((1 << 31) - 1) * ((1 << 61) - 1)
@@ -768,7 +788,7 @@ def unlimited_digits():
                                   *((7, n) for n in range(1, 4)), (11, 2)])
 def test_lower_bound_answers_under_its_output_cap(capsys, unlimited_digits, p, n):
     bound = lower_bound_balanced(p, n)
-    assert bound.bit_length() <= cli.LOWER_BOUND_MAX_BITS
+    assert bound.bit_length() <= LOWER_BOUND_MAX_BITS
     assert run(capsys, ["lower-bound", str(p), str(n)]) == (
         0, f"at least {bound} balanced symmetric functions for p={p}, n={n}\n", "")
 
@@ -796,7 +816,7 @@ def test_lower_bound_reads_each_orbit_once(monkeypatch, capsys):
 def test_lower_bound_cap_is_on_log2_of_the_bound(capsys, unlimited_digits):
     # lower_bound_balanced(2, n) = 2^((n + 1)/2): exactly 2^131072 is
     # answered, twice that is refused.
-    assert cli.LOWER_BOUND_MAX_BITS == 1 << 17
+    assert LOWER_BOUND_MAX_BITS == 1 << 17
     assert run(capsys, ["lower-bound", "2", "262143", "--format", "csv"]) == (
         0, f"p,n,bound\n2,262143,{1 << 131072}\n", "")
     assert run(capsys, ["lower-bound", "2", "262145"]) == (
@@ -805,7 +825,7 @@ def test_lower_bound_cap_is_on_log2_of_the_bound(capsys, unlimited_digits):
 
 def test_all_residue_lacunary_budget_at_the_cap(capsys):
     # lacunary 569 11 needs exactly the cap; one more n is over it.
-    assert 2 ** 21 * (2 * 569 + 2 * 11 + 32) == cli.LACUNARY_ALL_MAX_WORK
+    assert 2 ** 21 * (2 * 569 + 2 * 11 + 32) == LACUNARY_ALL_MAX_WORK
     code, out, _ = run(capsys, ["lacunary", "569", "11", "--format", "csv"])
     assert code == 0
     rows = out.splitlines()[1:]
@@ -975,11 +995,95 @@ def test_each_handler_lives_in_its_command_module():
     assert [name for name in vars(cli) if name.startswith("_cmd_")] == []
     families = {argv[0]: family for argv, family, _ in COMMAND_MODULES}
     assert sorted(families) == sorted(cli._GRAMMAR)
-    for command, (handler, *_) in cli._GRAMMAR.items():
-        module = importlib.import_module(f"symbalance.commands.{families[command]}")
+    for command, family in families.items():
+        module = importlib.import_module(f"symbalance.commands.{family}")
         function = getattr(module, "_cmd_" + command.replace("-", "_"))
         assert function.__module__ == module.__name__
-        assert (handler.module, handler.name) == (module.__name__, function.__name__)
+        assert cli._handler(command) is function
+
+
+def test_command_modules_import_nothing_from_cli():
+    # cli imports the command modules, never the other way round, and each
+    # command module imports its engines once, at its top.
+    folder = os.path.join(os.path.dirname(cli.__file__), "commands")
+    for name in sorted(os.listdir(folder)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(folder, name)) as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not [inner for inner in ast.walk(node)
+                            if isinstance(inner, (ast.Import, ast.ImportFrom))], (name, node.name)
+            if isinstance(node, ast.ImportFrom):
+                base = importlib.util.resolve_name("." * node.level + (node.module or ""),
+                                                   "symbalance.commands")
+                imported = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            assert "symbalance.cli" not in imported, name
+
+
+def test_module_entry_point_runs_no_second_cli():
+    # python -m runs cli as __main__ alone: no command module loads cli.
+    done = run_fresh_interpreter([
+        "import contextlib, io, runpy, sys",
+        "sys.argv = ['symbalance', 'weight', '3', '6']",
+        "out = io.StringIO()",
+        "try:",
+        "    with contextlib.redirect_stdout(out):",
+        "        runpy.run_module('symbalance.cli', run_name='__main__', alter_sys=True)",
+        "except SystemExit as stop:",
+        "    code = stop.code",
+        "loaded = sorted(m for m in sys.modules if m.startswith('symbalance'))",
+        "if (code, out.getvalue()) != (0, 'wt(X(3,6)) = 20\\n') or 'symbalance.cli' in loaded:",
+        "    sys.exit(f'exit code {code}, printed {out.getvalue()!r}, loaded {loaded}')",
+    ])
+    assert done.returncode == 0, done.stderr
+
+
+def test_runtime_ms_starts_after_the_command_module_loads():
+    # The clock is first read after the command module and its engine are
+    # imported, so runtime_ms counts no compile time of a first call.
+    done = run_fresh_interpreter([
+        "import contextlib, io, sys, time, types",
+        "import symbalance.cli as cli",
+        "loaded = []",
+        "def perf_counter():",
+        "    if not loaded:",
+        "        loaded.append([name in sys.modules for name in",
+        "                       ('symbalance.commands.symfun', 'symbalance.symfun')])",
+        "    return time.perf_counter()",
+        "cli.time = types.SimpleNamespace(perf_counter=perf_counter)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['balanced', '4', '100', '--format', 'json'])",
+        "if (code, loaded) != (0, [[True, True]]):",
+        "    sys.exit(f'exit code {code}, loaded at the first clock read {loaded}')",
+    ])
+    assert done.returncode == 0, done.stderr
+
+
+def readme_module_table():
+    """The rows of the command -> module table under README's Install, each
+    as its commands, its command module and the modules loaded besides cli
+    and errors."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as readme:
+        install = readme.read().split("\n## Install\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in install.splitlines() if line.startswith("| `")]
+    return [[re.findall(r"`([^`]+)`", cell) for cell in row] for row in rows]
+
+
+def test_readme_module_table_matches_the_loaded_modules():
+    table = {}
+    for names, (module,), loaded in readme_module_table():
+        for command in names:
+            assert command not in table, command
+            table[command] = module, sorted(loaded)
+    assert table == {argv[0]: (f"commands.{family}", sorted(modules))
+                     for argv, family, modules in COMMAND_MODULES}
 
 
 def run_module(*argv):
